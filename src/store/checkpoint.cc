@@ -69,6 +69,16 @@ util::Result<CheckpointReader> CheckpointReader::Parse(
   }
   std::uint32_t count = 0;
   METABLINK_RETURN_IF_ERROR(reader.ReadU32(&count));
+  // Smallest section frame: u64 name length + u64 payload size + u32 CRC.
+  // A count that cannot fit in the bytes left is truncation or corruption,
+  // and must not size the reserve below.
+  constexpr std::size_t kMinSectionFrameBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  if (count > reader.Remaining() / kMinSectionFrameBytes) {
+    return util::Status::OutOfRange(util::StrFormat(
+        "checkpoint claims %u sections but only %zu bytes remain", count,
+        reader.Remaining()));
+  }
   out.sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name;

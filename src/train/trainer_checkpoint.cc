@@ -71,6 +71,10 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
   state.next_epoch = static_cast<std::size_t>(next_epoch);
   std::uint64_t order_size = 0;
   METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&order_size));
+  if (order_size > trainer->Remaining() / sizeof(std::uint64_t)) {
+    return util::Status::OutOfRange(
+        "truncated trainer state (example order): " + path);
+  }
   state.order.resize(static_cast<std::size_t>(order_size));
   for (std::uint64_t& idx : state.order) {
     METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&idx));
@@ -81,6 +85,10 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
   METABLINK_RETURN_IF_ERROR(trainer->ReadF64(&state.result.final_epoch_loss));
   std::uint64_t num_losses = 0;
   METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&num_losses));
+  if (num_losses > trainer->Remaining() / sizeof(double)) {
+    return util::Status::OutOfRange(
+        "truncated trainer state (epoch losses): " + path);
+  }
   state.result.epoch_losses.resize(static_cast<std::size_t>(num_losses));
   for (double& loss : state.result.epoch_losses) {
     METABLINK_RETURN_IF_ERROR(trainer->ReadF64(&loss));

@@ -1,5 +1,6 @@
 #include "util/serialize.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -105,9 +106,19 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError(StrFormat("cannot open %s for reading", path.c_str()));
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
+  // Size the buffer only from a regular file's successful seek/tell: on a
+  // directory fopen succeeds and ftell reports a bogus huge size.
+  struct ::stat st;
+  long size = -1;
+  if (::fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode) &&
+      std::fseek(f, 0, SEEK_END) == 0) {
+    size = std::ftell(f);
+  }
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IoError(
+        StrFormat("cannot size %s: not a readable regular file", path.c_str()));
+  }
   std::vector<std::uint8_t> data(static_cast<std::size_t>(size));
   std::size_t read = std::fread(data.data(), 1, data.size(), f);
   std::fclose(f);
@@ -118,11 +129,23 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
 }
 
 Status BinaryReader::ReadRaw(void* dst, std::size_t n) {
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     return Status::OutOfRange("truncated input buffer");
   }
+  if (n == 0) return Status::OK();  // an empty vector's data() may be null
   std::memcpy(dst, data_.data() + pos_, n);
   pos_ += n;
+  return Status::OK();
+}
+
+Status BinaryReader::ReadCount(std::size_t elem_size, const char* what,
+                               std::size_t* n) {
+  std::uint64_t count = 0;
+  METABLINK_RETURN_IF_ERROR(ReadU64(&count));
+  if (count > Remaining() / elem_size) {  // overflow-safe bound check
+    return Status::OutOfRange(StrFormat("truncated %s", what));
+  }
+  *n = static_cast<std::size_t>(count);
   return Status::OK();
 }
 
@@ -139,45 +162,33 @@ Status BinaryReader::ReadF32(float* out) { return ReadRaw(out, sizeof(*out)); }
 Status BinaryReader::ReadF64(double* out) { return ReadRaw(out, sizeof(*out)); }
 
 Status BinaryReader::ReadString(std::string* out) {
-  std::uint64_t n = 0;
-  METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n > data_.size()) {
-    return Status::OutOfRange("truncated string");
-  }
-  out->assign(reinterpret_cast<const char*>(data_.data() + pos_),
-              static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
+  std::size_t n = 0;
+  METABLINK_RETURN_IF_ERROR(ReadCount(1, "string", &n));
+  out->assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
+  pos_ += n;
   return Status::OK();
 }
 
 Status BinaryReader::ReadFloatVector(std::vector<float>* out) {
-  std::uint64_t n = 0;
-  METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n * sizeof(float) > data_.size()) {
-    return Status::OutOfRange("truncated float vector");
-  }
-  out->resize(static_cast<std::size_t>(n));
-  return ReadRaw(out->data(), out->size() * sizeof(float));
+  std::size_t n = 0;
+  METABLINK_RETURN_IF_ERROR(ReadCount(sizeof(float), "float vector", &n));
+  out->resize(n);
+  return ReadRaw(out->data(), n * sizeof(float));
 }
 
 Status BinaryReader::ReadU32Vector(std::vector<std::uint32_t>* out) {
-  std::uint64_t n = 0;
-  METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n * sizeof(std::uint32_t) > data_.size()) {
-    return Status::OutOfRange("truncated u32 vector");
-  }
-  out->resize(static_cast<std::size_t>(n));
-  return ReadRaw(out->data(), out->size() * sizeof(std::uint32_t));
+  std::size_t n = 0;
+  METABLINK_RETURN_IF_ERROR(
+      ReadCount(sizeof(std::uint32_t), "u32 vector", &n));
+  out->resize(n);
+  return ReadRaw(out->data(), n * sizeof(std::uint32_t));
 }
 
 Status BinaryReader::ReadByteVector(std::vector<std::int8_t>* out) {
-  std::uint64_t n = 0;
-  METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n > data_.size()) {
-    return Status::OutOfRange("truncated byte vector");
-  }
-  out->resize(static_cast<std::size_t>(n));
-  return ReadRaw(out->data(), out->size());
+  std::size_t n = 0;
+  METABLINK_RETURN_IF_ERROR(ReadCount(1, "byte vector", &n));
+  out->resize(n);
+  return ReadRaw(out->data(), n);
 }
 
 Status BinaryReader::ReadBytes(std::size_t n, std::vector<std::uint8_t>* out) {

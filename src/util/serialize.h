@@ -48,13 +48,15 @@ class BinaryWriter {
 };
 
 /// Bounds-checked decoder matching BinaryWriter. All reads return Status and
-/// fail with kOutOfRange on truncated input instead of crashing.
+/// fail with kOutOfRange on truncated input instead of crashing; a length
+/// prefix is checked against the bytes left before it sizes an allocation.
 class BinaryReader {
  public:
   explicit BinaryReader(std::vector<std::uint8_t> data)
       : data_(std::move(data)) {}
 
-  /// Loads the whole file at `path` into a reader.
+  /// Loads the whole regular file at `path` into a reader; kIoError if it
+  /// cannot be opened, is not a regular file, or cannot be fully read.
   static Result<BinaryReader> FromFile(const std::string& path);
 
   Status ReadU32(std::uint32_t* out);
@@ -76,6 +78,9 @@ class BinaryReader {
 
  private:
   Status ReadRaw(void* dst, std::size_t n);
+  /// Reads a u64 element count and fails with kOutOfRange unless that many
+  /// `elem_size`-byte elements fit in the bytes left.
+  Status ReadCount(std::size_t elem_size, const char* what, std::size_t* n);
 
   std::vector<std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -106,6 +106,20 @@ TEST(CheckpointContainerTest, EverySingleBitFlipIsDetected) {
   }
 }
 
+TEST(CheckpointContainerTest, HugeSectionCountIsOutOfRange) {
+  // A section count that cannot fit in the bytes left must be rejected
+  // before it sizes any allocation.
+  util::BinaryWriter w;
+  w.WriteU32(kCheckpointMagic);
+  w.WriteU32(kCheckpointVersion);
+  w.WriteU32(0xFFFFFFFFu);
+  w.WriteU64(0);
+  w.WriteU32(0);
+  auto reader = CheckpointReader::Parse(w.TakeBuffer());
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), util::StatusCode::kOutOfRange);
+}
+
 TEST(CheckpointContainerTest, TrailingGarbageIsDataLoss) {
   std::vector<std::uint8_t> bytes = TwoSectionContainer();
   bytes.push_back(0x00);
@@ -363,6 +377,33 @@ TEST_F(StoreTest, TrainerTagMismatchIsRejected) {
   ASSERT_TRUE(same.ok());
   EXPECT_EQ(same->next_epoch, 1u);
   EXPECT_EQ(same->order, (std::vector<std::uint64_t>{0, 1, 2}));
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, OversizedTrainerStateCountsAreOutOfRange) {
+  // Crafted trainer sections whose CRCs are valid but whose element counts
+  // claim far more entries than the section holds.
+  const std::string path = TempPath("oversized_trainer.ckpt");
+  auto model = MakeBi();
+  util::Rng rng(1);
+  tensor::AdamOptimizer optimizer(0.01f);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (bool oversize_order : {true, false}) {
+    store::CheckpointWriter ckpt;
+    util::BinaryWriter* w = ckpt.AddSection("trainer");
+    w->WriteU32(0x1111u);
+    w->WriteU64(1);                           // next_epoch
+    w->WriteU64(oversize_order ? huge : 0);   // order size
+    w->WriteU64(0);                           // steps
+    w->WriteF64(0.0);                         // final epoch loss
+    w->WriteU64(oversize_order ? 0 : huge);   // epoch-loss count
+    ASSERT_TRUE(ckpt.WriteToFile(path).ok());
+    auto loaded = train::LoadEpochCheckpoint(0x1111u, path, model->params(),
+                                             &optimizer, &rng);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kOutOfRange)
+        << loaded.status().message();
+  }
   std::remove(path.c_str());
 }
 

@@ -311,6 +311,38 @@ TEST(SerializeTest, MissingFileIsIoError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+TEST(SerializeTest, DirectoryIsIoError) {
+  auto r = BinaryReader::FromFile(::testing::TempDir());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST(SerializeTest, WrappedLengthPrefixIsOutOfRange) {
+  // Length prefixes whose byte count wraps size_t past the bound check: the
+  // reads must fail with kOutOfRange rather than reach an allocation.
+  auto with_prefix = [](std::uint64_t n) {
+    BinaryWriter w;
+    w.WriteU64(n);
+    w.WriteU64(0);
+    w.WriteU64(0);
+    return BinaryReader(w.TakeBuffer());
+  };
+  const std::uint64_t wraps_bytes = ~std::uint64_t{0} - 3;          // 2^64 - 4
+  const std::uint64_t wraps_elems = (std::uint64_t{1} << 63) + 3;  // n * 4 wraps
+  std::string s;
+  std::vector<std::int8_t> bytes;
+  std::vector<float> floats;
+  std::vector<std::uint32_t> u32s;
+  EXPECT_EQ(with_prefix(wraps_bytes).ReadString(&s).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(with_prefix(wraps_bytes).ReadByteVector(&bytes).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(with_prefix(wraps_elems).ReadFloatVector(&floats).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(with_prefix(wraps_elems).ReadU32Vector(&u32s).code(),
+            StatusCode::kOutOfRange);
+}
+
 // ---- thread pool -----------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllTasks) {
