@@ -7,7 +7,7 @@
 //   build ms:        seeded k-means + inverted-list construction;
 //   latency ms/q:    exhaustive fp32 TopKInto, exhaustive int8
 //                    TopKQuantizedInto, clustered probe at the default
-//                    nprobe, and the sharded probe over a thread pool;
+//                    nprobe, and the KB-sharded probe over a thread pool;
 //   R@64 vs nprobe:  mean overlap with the exact fp32 top-64 across a
 //                    sweep of nprobe values up to probe-all.
 //
@@ -15,9 +15,8 @@
 //   - probe-all (nprobe == num_clusters) is bit-identical to the
 //     exhaustive fp32 scan — ids, scores, and tie order;
 //   - the same holds for the PQ scan with a full re-score pool;
-//   - the sharded probe is bit-identical to the serial probe, and the
-//     KB-sharded index (ShardedIndex, 4 shards) is bit-identical to the
-//     single index at equal nprobe, serial and pool-parallel;
+//   - the KB-sharded index (ShardedIndex, 4 shards) is bit-identical to
+//     the single index at equal nprobe, serial and pool-parallel;
 //   - the int8 entry point dispatches to the exact scan below the
 //     crossover size (bit-identical results there);
 //   - rebuilding with the same seed yields byte-identical serialization;
@@ -43,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment_common.h"
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
 #include "retrieval/sharded_index.h"
@@ -55,10 +55,8 @@ using namespace metablink;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
+using bench::Gate;
+using bench::MsSince;
 
 // Mixture-of-Gaussians rows: well-separated centers with isotropic noise
 // (same recipe as the recall tests — uniform random data has no cluster
@@ -124,7 +122,6 @@ struct ScaleResult {
   double fp32_ms_per_query = 0.0;
   double int8_ms_per_query = 0.0;
   double clustered_ms_per_query = 0.0;
-  double sharded_ms_per_query = 0.0;
   double recall_at_default = 0.0;
   double speedup_vs_int8 = 0.0;
   /// Cheapest sweep point meeting the R@64 >= 0.98 target — the operating
@@ -153,13 +150,6 @@ struct ScaleResult {
   double sharded_index_ms_per_query = 0.0;
 };
 
-bool g_ok = true;
-
-void Gate(bool ok, const char* what) {
-  std::printf("  gate %-46s %s\n", what, ok ? "PASS" : "FAIL");
-  if (!ok) g_ok = false;
-}
-
 constexpr std::size_t kTopK = 64;
 
 ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
@@ -179,7 +169,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
       MixtureEmbeddings(n, d, components, 0.10f, 0xB0B0 + n, &centers);
   retrieval::DenseIndex base;
   if (!base.Build(std::move(rows), Iota(n)).ok()) {
-    g_ok = false;
+    Gate(false, "base index builds");
     return r;
   }
   base.Quantize();
@@ -200,7 +190,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
   {
     const auto t0 = Clock::now();
     if (!clustered.Build(base, {}, pool).ok()) {
-      g_ok = false;
+      Gate(false, "clustered index builds");
       return r;
     }
     r.build_ms = MsSince(t0);
@@ -215,7 +205,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
     popts.use_pq = true;
     const auto t0 = Clock::now();
     if (!pq.Build(base, popts, pool).ok()) {
-      g_ok = false;
+      Gate(false, "pq index builds");
       return r;
     }
     r.pq_build_ms = MsSince(t0);
@@ -232,7 +222,9 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
 
   if (check_determinism) {
     retrieval::ClusteredIndex again;
-    if (!again.Build(base, {}, nullptr).ok()) g_ok = false;
+    if (!again.Build(base, {}, nullptr).ok()) {
+      Gate(false, "serial clustered rebuild");
+    }
     util::BinaryWriter wa, wb;
     clustered.Save(&wa);
     again.Save(&wb);
@@ -241,7 +233,9 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
     retrieval::ClusteredIndexOptions popts;
     popts.use_pq = true;
     retrieval::ClusteredIndex pq_again;
-    if (!pq_again.Build(base, popts, nullptr).ok()) g_ok = false;
+    if (!pq_again.Build(base, popts, nullptr).ok()) {
+      Gate(false, "serial pq rebuild");
+    }
     util::BinaryWriter pa, pb;
     pq.Save(&pa);
     pq_again.Save(&pb);
@@ -394,25 +388,6 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
       r.pq_operating = pt;
   Gate(r.pq_operating.nprobe != 0, "pq reaches R@64 >= 0.98 at some nprobe");
 
-  // ---- Sharded probe: bit-for-bit + timing ----------------------------------
-  {
-    retrieval::ShardedScratch sh;
-    std::vector<retrieval::ScoredEntity> serial;
-    bool same = true;
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      clustered.TopKInto(queries.row_data(i), k, 0, &cscratch, &serial);
-      clustered.TopKSharded(queries.row_data(i), k, 0, pool, &sh, &hits);
-      if (!SameHits(serial, hits)) same = false;
-    }
-    Gate(same, "sharded probe == serial probe bit-for-bit");
-    const auto t0 = Clock::now();
-    for (std::size_t it = 0; it < rounds; ++it)
-      for (std::size_t i = 0; i < num_queries; ++i)
-        clustered.TopKSharded(queries.row_data(i), k, 0, pool, &sh, &hits);
-    r.sharded_ms_per_query =
-        MsSince(t0) / static_cast<double>(rounds * num_queries);
-  }
-
   // ---- KB-sharded index: bit-for-bit + timing -------------------------------
   {
     r.sharded_index_shards = 4;
@@ -447,11 +422,11 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
 
   std::printf(
       "[%7zu x %zu]  build %8.1f ms  kc %4zu  nprobe %3zu  |  "
-      "fp32 %8.3f  int8 %8.3f  clustered %8.3f  sharded %8.3f ms/q  |  "
+      "fp32 %8.3f  int8 %8.3f  clustered %8.3f ms/q  |  "
       "R@%zu %.4f  speedup_vs_int8 %.2fx\n",
       n, d, r.build_ms, r.num_clusters, r.default_nprobe,
-      r.fp32_ms_per_query, r.int8_ms_per_query, r.clustered_ms_per_query,
-      r.sharded_ms_per_query, k, r.recall_at_default, r.speedup_vs_int8);
+      r.fp32_ms_per_query, r.int8_ms_per_query, r.clustered_ms_per_query, k,
+      r.recall_at_default, r.speedup_vs_int8);
   std::printf("    operating point: nprobe %zu  R@%zu %.4f  %8.3f ms/q  "
               "speedup_vs_int8 %.2fx\n",
               r.operating.nprobe, k, r.operating.recall,
@@ -564,8 +539,7 @@ int main(int argc, char** argv) {
                  "\"default_nprobe\": %zu, \"build_ms\": %.1f,\n"
                  "     \"fp32_ms_per_query\": %.4f, "
                  "\"int8_ms_per_query\": %.4f, "
-                 "\"clustered_ms_per_query\": %.4f, "
-                 "\"sharded_ms_per_query\": %.4f,\n"
+                 "\"clustered_ms_per_query\": %.4f,\n"
                  "     \"recall_at_64\": %.4f, \"speedup_vs_int8\": %.2f,\n"
                  "     \"operating_point\": {\"nprobe\": %zu, "
                  "\"recall\": %.4f, \"ms_per_query\": %.4f, "
@@ -573,10 +547,9 @@ int main(int argc, char** argv) {
                  "     \"recall_vs_nprobe\": [",
                  r.entities, r.num_clusters, r.default_nprobe, r.build_ms,
                  r.fp32_ms_per_query, r.int8_ms_per_query,
-                 r.clustered_ms_per_query, r.sharded_ms_per_query,
-                 r.recall_at_default, r.speedup_vs_int8, r.operating.nprobe,
-                 r.operating.recall, r.operating.ms_per_query,
-                 r.operating_speedup_vs_int8);
+                 r.clustered_ms_per_query, r.recall_at_default,
+                 r.speedup_vs_int8, r.operating.nprobe, r.operating.recall,
+                 r.operating.ms_per_query, r.operating_speedup_vs_int8);
     for (std::size_t i = 0; i < r.sweep.size(); ++i)
       std::fprintf(f, "%s{\"nprobe\": %zu, \"recall\": %.4f, "
                    "\"ms_per_query\": %.4f}",
@@ -608,9 +581,10 @@ int main(int argc, char** argv) {
                  s + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gates_ok\": %s\n", g_ok ? "true" : "false");
+  std::fprintf(f, "  \"gates_ok\": %s\n",
+               bench::GatesOk() ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-  return g_ok ? 0 : 1;
+  return bench::GatesOk() ? 0 : 1;
 }

@@ -10,15 +10,16 @@
 //   tapefree_single: one request at a time through the tape-free kernels
 //                    (EncodeMentionsInference + ScoreInference).
 //   server_batched:  LinkingServer micro-batching scheduler, 8 concurrent
-//                    client threads (plus an int8-retrieval variant).
+//                    client threads.
 //   server_cascade:  the batched server with the calibrated three-tier
 //                    rerank cascade (early exit / distilled / partial full
 //                    rerank), reported with per-tier counts and the
 //                    exact-match accuracy delta vs full rerank.
 //
 // Also verifies the serving-path contracts the speedup is not allowed to
-// buy with accuracy: tape vs tape-free scores match to 1e-6 and int8
-// retrieval reproduces the exact fp32 top-64 at a full candidate pool.
+// buy with accuracy: tape vs tape-free scores match to 1e-6 and the int8
+// scan (DenseIndex::TopKQuantizedInto, the substrate of the clustered list
+// scan) reproduces the exact fp32 top-64 at a full candidate pool.
 //
 // Unlike earlier revisions, the encoders are briefly TRAINED first (bi on
 // in-batch negatives, cross on mined candidate lists). Serving cost still
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "experiment_common.h"
 #include "load/workload.h"
 #include "model/bi_encoder.h"
 #include "model/cascade.h"
@@ -57,18 +59,8 @@ namespace {
 double g_sink = 0.0;
 
 using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
-  return v[idx];
-}
+using bench::MsSince;
+using bench::Percentile;
 
 struct ModeResult {
   double p50_ms = 0.0;
@@ -99,14 +91,9 @@ struct BenchScale {
   std::size_t train_epochs = 4;
 };
 
-/// Bounded candidate pool for the TIMED int8 serving row. The old value
-/// (4096 >= the whole index) made the int8 path do strictly more work than
-/// fp32 — an int8 scan of every row PLUS an fp32 re-score of every row —
-/// which is why server_batched_int8 regressed vs fp32 in earlier runs. A
-/// bounded pool is the configuration the int8 scan exists for; exactness
-/// at the full pool is still asserted by the parity gate below, and the
-/// measured overlap at this bounded pool is reported in the JSON.
-constexpr std::size_t kInt8ServePool = 256;
+/// Bounded candidate pool at which the int8 scan's overlap with the exact
+/// fp32 top-64 is reported (exactness at the full pool is the parity gate).
+constexpr std::size_t kInt8BoundedPool = 256;
 
 /// One fully-served request stream: per-request latencies plus the
 /// exact-match count against each request's gold entity.
@@ -527,8 +514,8 @@ int main(int argc, char** argv) {
 
   // ---- Parity: int8 retrieval reproduces the fp32 top-64. ------------------
   // Exactness gate at the full pool (pool >= index size guarantees the
-  // true top-k survives the int8 scan) plus the measured overlap at the
-  // bounded pool the timed serving row actually uses.
+  // true top-k survives the int8 scan) plus the measured overlap at a
+  // bounded pool.
   index.Quantize();
   double int8_overlap = 0.0;
   double int8_overlap_serve_pool = 0.0;
@@ -541,7 +528,7 @@ int main(int argc, char** argv) {
       index.TopKInto(q_free.row_data(0), probes, &topk_scratch, &exact);
       index.TopKQuantizedInto(q_free.row_data(0), probes, index.size(),
                               &topk_scratch, &quant);
-      index.TopKQuantizedInto(q_free.row_data(0), probes, kInt8ServePool,
+      index.TopKQuantizedInto(q_free.row_data(0), probes, kInt8BoundedPool,
                               &topk_scratch, &quant_served);
       std::set<kb::EntityId> a, b, c;
       for (const auto& e : exact) a.insert(e.id);
@@ -559,7 +546,7 @@ int main(int argc, char** argv) {
   }
   std::printf("[parity]           int8 R@64 overlap vs fp32 = %.4f "
               "(pool=%zu: %.4f)\n\n",
-              int8_overlap, kInt8ServePool, int8_overlap_serve_pool);
+              int8_overlap, kInt8BoundedPool, int8_overlap_serve_pool);
 
   // ---- Mode 3: micro-batching server, concurrent clients. ------------------
   const StreamResult server = DriveServer(MakeServer(base_opts).get(),
@@ -567,16 +554,6 @@ int main(int argc, char** argv) {
   std::printf("[server_batched]   p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  (%.2fx)\n",
               server.mode.p50_ms, server.mode.p99_ms, server.mode.qps,
               server.mode.qps / tape.qps);
-
-  serve::ServerOptions int8_opts = base_opts;
-  int8_opts.use_quantized = true;
-  int8_opts.quantized_pool = kInt8ServePool;
-  const StreamResult server_int8 = DriveServer(MakeServer(int8_opts).get(),
-                                               requests,
-                                               scale.client_threads);
-  std::printf("[server_int8]      p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  (%.2fx)\n",
-              server_int8.mode.p50_ms, server_int8.mode.p99_ms,
-              server_int8.mode.qps, server_int8.mode.qps / tape.qps);
 
   const serve::ServerStats& stats = server.stats;
   const double cache_hit_rate =
@@ -700,11 +677,6 @@ int main(int argc, char** argv) {
                stats.encode_ms, stats.retrieve_ms, stats.rerank_ms,
                static_cast<unsigned long long>(stats.accepted),
                stats.queue_depth_high_water, stats.oldest_wait_us);
-  std::fprintf(f,
-               "  \"server_batched_int8\": {\"p50_ms\": %.4f, \"p99_ms\": "
-               "%.4f, \"qps\": %.1f, \"quantized_pool\": %zu},\n",
-               server_int8.mode.p50_ms, server_int8.mode.p99_ms,
-               server_int8.mode.qps, kInt8ServePool);
   std::fprintf(f,
                "  \"server_cascade\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                "\"qps\": %.1f, \"rerank_exited\": %llu, "

@@ -1,5 +1,7 @@
 #include "experiment_common.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -153,5 +155,30 @@ void PrintScalarRow(const std::string& method, const std::string& data,
               data.c_str(), "-", "-", 100.0 * value,
               paper_note != nullptr ? paper_note : "");
 }
+
+double MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t idx = static_cast<std::size_t>(
+      std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
+  return v[idx];
+}
+
+namespace {
+bool g_gates_ok = true;
+}  // namespace
+
+void Gate(bool ok, const char* what) {
+  std::printf("  gate %-46s %s\n", what, ok ? "PASS" : "FAIL");
+  if (!ok) g_gates_ok = false;
+}
+
+bool GatesOk() { return g_gates_ok; }
 
 }  // namespace metablink::bench

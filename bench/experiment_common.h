@@ -1,6 +1,7 @@
 #ifndef METABLINK_BENCH_EXPERIMENT_COMMON_H_
 #define METABLINK_BENCH_EXPERIMENT_COMMON_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -101,6 +102,21 @@ void PrintRow(const std::string& method, const std::string& data,
               const eval::EvalResult& r, const char* paper_note = nullptr);
 void PrintScalarRow(const std::string& method, const std::string& data,
                     double value, const char* paper_note = nullptr);
+
+// ---- Timing and contract gates for the perf benches -------------------------
+
+/// Wall milliseconds elapsed since `t0`.
+double MsSince(std::chrono::steady_clock::time_point t0);
+
+/// Nearest-rank percentile of `v` at fraction `p` in (0, 1]; 0 when empty.
+double Percentile(std::vector<double> v, double p);
+
+/// Prints one "gate <what> PASS|FAIL" line; a FAIL is remembered for
+/// GatesOk().
+void Gate(bool ok, const char* what);
+
+/// True until any Gate() call has failed — a bench's exit status.
+bool GatesOk();
 
 }  // namespace metablink::bench
 

@@ -88,8 +88,8 @@ class KnowledgeBase {
 
   /// Writes a framed checkpoint container with one "kb" section.
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless raw stream
-  /// (files written before the store subsystem existed).
+  /// Loads the "kb" section of a framed container; any other file is
+  /// rejected.
   static util::Result<KnowledgeBase> LoadFromFile(const std::string& path);
 
  private:

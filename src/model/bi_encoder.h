@@ -115,8 +115,8 @@ class BiEncoder {
 
   /// Writes a framed checkpoint container (see store::CheckpointWriter).
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless "BI"-tagged
-  /// format (files written before the store subsystem existed).
+  /// Loads a framed container written by SaveToFile; any other file is
+  /// rejected.
   util::Status LoadFromFile(const std::string& path);
 
  private:

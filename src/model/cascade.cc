@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "store/checkpoint.h"
 #include "tensor/tensor.h"
@@ -93,24 +92,11 @@ util::Status CascadeModel::SaveToFile(const std::string& path) const {
 }
 
 util::Status CascadeModel::LoadFromFile(const std::string& path) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      auto section = ckpt->Section("cascade");
-      if (!section.ok()) return section.status();
-      return Load(&*section);
-    }
-  }
-  // Legacy headerless format: the raw "CSCD" payload stream.
-  util::BinaryReader legacy(std::move(bytes));
-  return Load(&legacy);
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("cascade");
+  if (!section.ok()) return section.status();
+  return Load(&*section);
 }
 
 void CascadeFeaturesInto(const float* scores, std::size_t n, std::size_t rank,

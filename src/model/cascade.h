@@ -84,7 +84,7 @@ struct CascadeModel {
   util::Status Load(util::BinaryReader* reader);
   /// Writes a framed checkpoint container with one "cascade" section.
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or a raw legacy "CSCD" stream.
+  /// Loads the "cascade" section of a framed container.
   util::Status LoadFromFile(const std::string& path);
 };
 

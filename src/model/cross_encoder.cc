@@ -241,11 +241,6 @@ void CrossEncoder::ScoreCachedInference(const data::LinkingExample& example,
   }
 }
 
-namespace {
-// Pre-store-subsystem file tag ("CR"); kept readable forever.
-constexpr std::uint32_t kLegacyCrossTag = 0x4352u;
-}  // namespace
-
 void CrossEncoder::SaveCheckpoint(store::CheckpointWriter* ckpt) const {
   util::BinaryWriter* config = ckpt->AddSection("cross_config");
   config->WriteU64(config_.dim);
@@ -288,29 +283,9 @@ util::Status CrossEncoder::SaveToFile(const std::string& path) const {
 }
 
 util::Status CrossEncoder::LoadFromFile(const std::string& path) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      return LoadCheckpoint(*ckpt);
-    }
-  }
-  // Legacy headerless format: a "CR" tag followed by the raw parameter
-  // stream.
-  util::BinaryReader legacy(std::move(bytes));
-  std::uint32_t tag = 0;
-  METABLINK_RETURN_IF_ERROR(legacy.ReadU32(&tag));
-  if (tag != kLegacyCrossTag) {
-    return util::Status::InvalidArgument("not a cross-encoder checkpoint: " +
-                                         path);
-  }
-  return params_.Load(&legacy);
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  return LoadCheckpoint(*ckpt);
 }
 
 }  // namespace metablink::model

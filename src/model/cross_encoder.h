@@ -126,8 +126,8 @@ class CrossEncoder {
 
   /// Writes a framed checkpoint container (see store::CheckpointWriter).
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless "CR"-tagged
-  /// format (files written before the store subsystem existed).
+  /// Loads a framed container written by SaveToFile; any other file is
+  /// rejected.
   util::Status LoadFromFile(const std::string& path);
 
  private:

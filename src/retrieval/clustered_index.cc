@@ -23,9 +23,10 @@ constexpr std::uint32_t kClusteredTag = 0x46564943u;  // "CIVF"
 // PQ-free artifacts stay byte-identical to pre-PQ builds.
 constexpr std::uint32_t kClusteredVersion = 2;
 constexpr std::uint32_t kPqTag = 0x56495150u;  // "PQIV"
-// PQ subspace tables always span 256 slots (8-bit codes); a smaller
+// PQ codes are always 8 bits, so subspace tables span 256 slots; a smaller
 // trained pq_kc just leaves the tail slots zero and unreferenced.
-constexpr std::size_t kPqSlots = 256;
+constexpr std::uint64_t kPqNbits = 8;
+constexpr std::size_t kPqSlots = std::size_t{1} << kPqNbits;
 
 // Points scored per assignment tile. 32 rows of d=128 floats (16 KiB) stay
 // cache-resident while the centroid panel (up to ~sqrt(1M) rows) streams.
@@ -199,15 +200,8 @@ util::Status ClusteredIndex::Build(const DenseIndex& base,
     return util::Status::InvalidArgument(
         "cannot cluster an unbuilt DenseIndex");
   }
-  if (options.use_pq) {
-    if (options.pq_nbits != 8) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "only 8-bit PQ codes are supported, got pq_nbits=%zu",
-          options.pq_nbits));
-    }
-    if (options.pq_m == 0) {
-      return util::Status::InvalidArgument("pq_m must be at least 1");
-    }
+  if (options.use_pq && options.pq_m == 0) {
+    return util::Status::InvalidArgument("pq_m must be at least 1");
   }
   const std::size_t n = base.size();
   const std::size_t d = base.dim();
@@ -496,7 +490,6 @@ ClusteredIndex::ListView ClusteredIndex::OwnView() const {
 
 void ClusteredIndex::ScanLists(const ScanContext& ctx,
                                const std::vector<std::uint32_t>& probe,
-                               std::size_t p_begin, std::size_t p_end,
                                const ListView& view,
                                TopKScratch* scratch) const {
   const std::size_t d = base_->dim();
@@ -506,8 +499,7 @@ void ClusteredIndex::ScanLists(const ScanContext& ctx,
     // strip-scored by the dispatched kernel and offered to the bounded
     // pool, which RescoreAndSelect re-scores in fp32. One kernel per
     // process, so serial, pooled, and sharded scans build identical pools.
-    for (std::size_t p = p_begin; p < p_end; ++p) {
-      const std::uint32_t c = probe[p];
+    for (const std::uint32_t c : probe) {
       const std::uint32_t lo = view.offsets[c];
       const std::uint32_t hi = view.offsets[c + 1];
       if (lo == hi) continue;
@@ -526,8 +518,7 @@ void ClusteredIndex::ScanLists(const ScanContext& ctx,
     }
     return;
   }
-  for (std::size_t p = p_begin; p < p_end; ++p) {
-    const std::uint32_t c = probe[p];
+  for (const std::uint32_t c : probe) {
     const std::uint32_t lo = view.offsets[c];
     const std::uint32_t hi = view.offsets[c + 1];
     for (std::uint32_t idx = lo; idx < hi; ++idx) {
@@ -585,8 +576,7 @@ void ClusteredIndex::TopKInto(const float* query, std::size_t k,
   PrepareScan(query, k, scratch, &ctx);
   scratch->topk.heap.clear();
   scratch->topk.pool.clear();
-  ScanLists(ctx, scratch->probe, 0, scratch->probe.size(), OwnView(),
-            &scratch->topk);
+  ScanLists(ctx, scratch->probe, OwnView(), &scratch->topk);
   RescoreAndSelect(query, k, &scratch->topk, out);
 }
 
@@ -597,87 +587,6 @@ std::vector<ScoredEntity> ClusteredIndex::TopK(const float* query,
   std::vector<ScoredEntity> out;
   TopKInto(query, k, nprobe, &scratch, &out);
   return out;
-}
-
-void ClusteredIndex::TopKSharded(const float* query, std::size_t k,
-                                 std::size_t nprobe, util::ThreadPool* pool,
-                                 ShardedScratch* scratch,
-                                 std::vector<ScoredEntity>* out) const {
-  METABLINK_CHECK(built() && base_ != nullptr)
-      << "ClusteredIndex must be built/attached before querying";
-  out->clear();
-  k = std::min(k, size());
-  if (k == 0) return;
-  nprobe = ResolveNprobe(nprobe);
-  if (pool == nullptr || pool->num_threads() < 2 || nprobe < 2) {
-    TopKInto(query, k, nprobe, &scratch->main, out);
-    return;
-  }
-  ClusteredScratch& main = scratch->main;
-  ScoreClusters(query, &main.cluster_scores);
-  SelectProbe(main.cluster_scores, nprobe, &main.probe);
-  ScanContext ctx;
-  PrepareScan(query, k, &main, &ctx);
-  const std::size_t pool_cap = ctx.pool_cap;
-  const ListView view = OwnView();
-
-  // Entry-balanced contiguous shards over the probe list: walk the probed
-  // lists accumulating entry counts and cut at each target boundary, so a
-  // few oversized cells don't serialize the scan behind one shard.
-  std::size_t total_entries = 0;
-  for (const std::uint32_t c : main.probe) {
-    total_entries += list_offsets_[c + 1] - list_offsets_[c];
-  }
-  const std::size_t want = std::min(pool->num_threads(), nprobe);
-  std::vector<std::uint32_t>& bounds = scratch->shard_bounds;
-  bounds.clear();
-  bounds.push_back(0);
-  std::size_t acc = 0;
-  for (std::size_t p = 0; p < nprobe && bounds.size() < want; ++p) {
-    acc += list_offsets_[main.probe[p] + 1] - list_offsets_[main.probe[p]];
-    if (acc * want >= bounds.size() * std::max<std::size_t>(total_entries, 1)) {
-      bounds.push_back(static_cast<std::uint32_t>(p + 1));
-    }
-  }
-  if (bounds.back() != nprobe) {
-    bounds.push_back(static_cast<std::uint32_t>(nprobe));
-  }
-  const std::size_t num_shards = bounds.size() - 1;
-  if (num_shards < 2) {
-    main.topk.heap.clear();
-    main.topk.pool.clear();
-    ScanLists(ctx, main.probe, 0, nprobe, view, &main.topk);
-    RescoreAndSelect(query, k, &main.topk, out);
-    return;
-  }
-
-  if (scratch->shards.size() < num_shards) scratch->shards.resize(num_shards);
-  pool->ParallelForChunks(
-      num_shards, num_shards,
-      [&](std::size_t shard, std::size_t, std::size_t) {
-        TopKScratch& s = scratch->shards[shard];
-        s.heap.clear();
-        s.pool.clear();
-        ScanLists(ctx, main.probe, bounds[shard], bounds[shard + 1], view, &s);
-      });
-
-  // K-way merge by re-offering each shard's survivors under the same total
-  // order: any global top-`cap` candidate is in its own shard's top-`cap`,
-  // so the merged selection equals the serial scan's bit for bit.
-  main.topk.heap.clear();
-  main.topk.pool.clear();
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    TopKScratch& s = scratch->shards[shard];
-    for (const ScoredEntity& cand : s.heap) {
-      OfferCandidate(cand, k, &main.topk.heap);
-    }
-    for (const ScoredEntity& cand : s.pool) {
-      OfferCandidate(cand, pool_cap, &main.topk.pool);
-    }
-    s.heap.clear();
-    s.pool.clear();
-  }
-  RescoreAndSelect(query, k, &main.topk, out);
 }
 
 void ClusteredIndex::Save(util::BinaryWriter* writer) const {
@@ -698,7 +607,7 @@ void ClusteredIndex::Save(util::BinaryWriter* writer) const {
   if (pq_built()) {
     writer->WriteU32(kPqTag);
     writer->WriteU64(pq_m_);
-    writer->WriteU64(8);  // pq_nbits
+    writer->WriteU64(kPqNbits);
     writer->WriteU64(pq_kc_);
     writer->WriteU32Vector(pq_sub_offsets_);
     writer->WriteFloatVector(pq_codebooks_);
@@ -775,7 +684,7 @@ util::Status ClusteredIndex::Load(util::BinaryReader* reader) {
     METABLINK_RETURN_IF_ERROR(reader->ReadU32Vector(&pq_sub_offsets));
     METABLINK_RETURN_IF_ERROR(reader->ReadFloatVector(&pq_codebooks));
     METABLINK_RETURN_IF_ERROR(reader->ReadByteVector(&pq_codes));
-    if (pq_nbits != 8) {
+    if (pq_nbits != kPqNbits) {
       return util::Status::InvalidArgument(util::StrFormat(
           "unsupported PQ code width: %llu bits",
           static_cast<unsigned long long>(pq_nbits)));
@@ -859,25 +768,11 @@ util::Status ClusteredIndex::SaveToFile(const std::string& path) const {
 
 util::Status ClusteredIndex::LoadFromFile(const std::string& path,
                                           const DenseIndex* base) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      auto section = ckpt->Section("clustered");
-      if (!section.ok()) return section.status();
-      METABLINK_RETURN_IF_ERROR(Load(&*section));
-      return Attach(base);
-    }
-  }
-  // Raw headerless "CIVF" stream (no container framing).
-  util::BinaryReader legacy(std::move(bytes));
-  METABLINK_RETURN_IF_ERROR(Load(&legacy));
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("clustered");
+  if (!section.ok()) return section.status();
+  METABLINK_RETURN_IF_ERROR(Load(&*section));
   return Attach(base);
 }
 

@@ -47,10 +47,8 @@ struct ClusteredIndexOptions {
   bool use_pq = false;
   /// PQ subspaces (codes per entry). Clamped to [1, dim] at Build; dim need
   /// not divide evenly (subspace m covers columns [m*d/M, (m+1)*d/M)).
+  /// Codes are always 8 bits (256 centroids per subspace).
   std::size_t pq_m = 8;
-  /// Bits per PQ code. Only 8 (256 centroids per subspace) is supported;
-  /// any other value fails Build.
-  std::size_t pq_nbits = 8;
 };
 
 /// Reusable per-caller buffers for ClusteredIndex::TopKInto.
@@ -64,16 +62,6 @@ struct ClusteredScratch {
   /// Per-query ADC lookup tables ([pq_m × 256] partial inner products),
   /// filled once per query when the index carries a PQ form.
   std::vector<float> lut;
-};
-
-/// Reusable buffers for the sharded probe path.
-struct ShardedScratch {
-  ClusteredScratch main;
-  /// Per-shard selection state; chunk i of the parallel scan owns entry i.
-  std::vector<TopKScratch> shards;
-  /// Probe-list position where each shard's cluster range begins
-  /// ([num_shards + 1] boundaries).
-  std::vector<std::uint32_t> shard_bounds;
 };
 
 /// Clustered (IVF-style) approximate index layered over a DenseIndex: a
@@ -146,14 +134,6 @@ class ClusteredIndex {
   std::vector<ScoredEntity> TopK(const float* query, std::size_t k,
                                  std::size_t nprobe = 0) const;
 
-  /// TopKInto with the probed lists sharded across `pool`: each shard
-  /// scans a contiguous, entry-balanced slice of the probe list into its
-  /// own TopKScratch, and the per-shard survivors are k-way merged under
-  /// the same total order — bit-identical output to the serial probe.
-  void TopKSharded(const float* query, std::size_t k, std::size_t nprobe,
-                   util::ThreadPool* pool, ShardedScratch* scratch,
-                   std::vector<ScoredEntity>* out) const;
-
   // ---- Persistence --------------------------------------------------------
 
   /// Serializes the clustering (centroids, norms, inverted lists, resolved
@@ -175,8 +155,8 @@ class ClusteredIndex {
 
   /// Writes a framed checkpoint container with one "clustered" section.
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or a raw legacy "CIVF" stream, then
-  /// attaches to `base`.
+  /// Loads the "clustered" section of a framed container, then attaches to
+  /// `base`.
   util::Status LoadFromFile(const std::string& path, const DenseIndex* base);
 
   // ---- Product-quantized residual form ------------------------------------
@@ -256,16 +236,15 @@ class ClusteredIndex {
   /// Fills the per-query ADC tables: lut[m * 256 + j] = q_sub(m)·cb[m][j].
   /// Pre: pq_built().
   void PreparePqLut(const float* query, std::vector<float>* lut) const;
-  /// Scans the probe-list slice [p_begin, p_end) of `view` into `scratch`:
-  /// PQ ADC candidates keyed by position when the context carries a lut,
-  /// int8 candidates keyed by position when it carries a quantized query
-  /// (both bounded by pool_cap), exact fp32 hits keyed by id otherwise
-  /// (bounded by k). The per-entry scores depend only on (entry, context),
-  /// never on which view or slice presented the entry — the property that
-  /// makes sharded scans mergeable bit-identically.
+  /// Scans the `probe` lists of `view` into `scratch`: PQ ADC candidates
+  /// keyed by position when the context carries a lut, int8 candidates
+  /// keyed by position when it carries a quantized query (both bounded by
+  /// pool_cap), exact fp32 hits keyed by id otherwise (bounded by k). The
+  /// per-entry scores depend only on (entry, context), never on which view
+  /// presented the entry — the property that makes sharded scans mergeable
+  /// bit-identically.
   void ScanLists(const ScanContext& ctx,
-                 const std::vector<std::uint32_t>& probe, std::size_t p_begin,
-                 std::size_t p_end, const ListView& view,
+                 const std::vector<std::uint32_t>& probe, const ListView& view,
                  TopKScratch* scratch) const;
   /// Fills `ctx` for one query: pool cap, ADC tables or quantized query.
   void PrepareScan(const float* query, std::size_t k,

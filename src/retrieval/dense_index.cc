@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 
 #include "retrieval/score_kernel.h"
 #include "store/checkpoint.h"
@@ -412,24 +411,11 @@ util::Status DenseIndex::SaveToFile(const std::string& path) const {
 }
 
 util::Status DenseIndex::LoadFromFile(const std::string& path) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      auto section = ckpt->Section("index");
-      if (!section.ok()) return section.status();
-      return Load(&*section);
-    }
-  }
-  // Legacy headerless format: the raw "INXD" stream.
-  util::BinaryReader legacy(std::move(bytes));
-  return Load(&legacy);
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("index");
+  if (!section.ok()) return section.status();
+  return Load(&*section);
 }
 
 }  // namespace metablink::retrieval

@@ -81,7 +81,7 @@ void ShardedIndex::TopKImpl(const float* query, std::size_t k,
     const ClusteredIndex::ListView view{
         shard.offsets.data(), shard.entries.data(),
         shard.codes.empty() ? nullptr : shard.codes.data()};
-    full_->ScanLists(ctx, main.probe, 0, main.probe.size(), view, &sc);
+    full_->ScanLists(ctx, main.probe, view, &sc);
   };
   if (pool != nullptr && pool->num_threads() >= 2 && ns >= 2) {
     pool->ParallelForChunks(ns, ns,

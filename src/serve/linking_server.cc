@@ -122,21 +122,48 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
     }
   }
   METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
-  if (options.use_quantized) epoch->index.Quantize();
-  if (options.use_clustered || options.use_pq) {
-    retrieval::ClusteredIndexOptions copts;
-    copts.use_pq = options.use_pq;
-    copts.pq_m = options.pq_m;
-    copts.pq_nbits = options.pq_nbits;
-    METABLINK_RETURN_IF_ERROR(epoch->clustered.Build(epoch->index, copts));
-  }
-  METABLINK_RETURN_IF_ERROR(ResolveSharding(options, 0, epoch.get()));
   // Entity-side rerank work, hoisted out of the serving loop.
   cross->PrecomputeEntities(entities, &epoch->cross_cache);
+  METABLINK_RETURN_IF_ERROR(FinishEpoch(options, nullptr, epoch.get()));
+  return epoch;
+}
+
+util::Status LinkingServer::FinishEpoch(const ServerOptions& options,
+                                        store::ModelBundle* bundle,
+                                        ModelEpoch* epoch) {
+  if (options.use_clustered || options.use_pq) {
+    if (bundle != nullptr && bundle->has_clustered &&
+        (bundle->clustered.pq_built() || !options.use_pq)) {
+      // Adopt the shipped clustering. Moving the bundle into this epoch
+      // relocated the index it was attached to, so re-bind it here.
+      epoch->clustered = std::move(bundle->clustered);
+      METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
+      if (!options.use_pq && epoch->clustered.pq_built()) {
+        // PQ-free serving over a PQ-bearing artifact: drop the codes so
+        // the probe path is byte-identical to a build that never had them.
+        epoch->clustered.DropPq();
+      }
+    } else {
+      // No clustered artifact — or one without the PQ form the options
+      // demand — so train it here.
+      retrieval::ClusteredIndexOptions copts;
+      copts.use_pq = options.use_pq;
+      METABLINK_RETURN_IF_ERROR(epoch->clustered.Build(epoch->index, copts));
+    }
+  }
+  const std::size_t shards = options.num_shards != 0 ? options.num_shards
+                             : bundle != nullptr     ? bundle->num_shards
+                                                     : 0;
+  if (epoch->clustered.built() && shards >= 2) {
+    METABLINK_RETURN_IF_ERROR(epoch->sharded.Build(&epoch->clustered, shards));
+  }
+  const std::vector<kb::EntityId>& ids = epoch->index.ids();
   epoch->entity_pos.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
-  METABLINK_RETURN_IF_ERROR(ResolveCascade(options, nullptr, epoch.get()));
-  return epoch;
+  return ResolveCascade(
+      options,
+      bundle != nullptr && bundle->has_cascade ? &bundle->cascade : nullptr,
+      epoch);
 }
 
 util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
@@ -165,16 +192,6 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
   return util::Status::OK();
 }
 
-util::Status LinkingServer::ResolveSharding(const ServerOptions& options,
-                                            std::uint32_t manifest_shards,
-                                            ModelEpoch* epoch) {
-  if (!epoch->clustered.built()) return util::Status::OK();
-  const std::size_t shards =
-      options.num_shards != 0 ? options.num_shards : manifest_shards;
-  if (shards < 2) return util::Status::OK();
-  return epoch->sharded.Build(&epoch->clustered, shards);
-}
-
 util::Result<std::shared_ptr<LinkingServer::ModelEpoch>>
 LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
                                     const ServerOptions& options) {
@@ -190,48 +207,18 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
   if (!epoch->index.built()) {
     return util::Status::InvalidArgument("bundle index has no entities");
   }
-  if (options.use_quantized && !epoch->index.quantized()) {
-    epoch->index.Quantize();
-  }
-  if (options.use_clustered || options.use_pq) {
-    if (b.has_clustered && (b.clustered.pq_built() || !options.use_pq)) {
-      // Adopt the shipped clustering. Moving the bundle into this epoch
-      // relocated the index it was attached to, so re-bind it here.
-      epoch->clustered = std::move(b.clustered);
-      METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
-      if (!options.use_pq && epoch->clustered.pq_built()) {
-        // PQ-free serving over a PQ-bearing artifact: drop the codes so
-        // the probe path is byte-identical to a build that never had them.
-        epoch->clustered.DropPq();
-      }
-    } else {
-      // No clustered artifact — or one without the PQ form the options
-      // demand — so train it here.
-      retrieval::ClusteredIndexOptions copts;
-      copts.use_pq = options.use_pq;
-      copts.pq_m = options.pq_m;
-      copts.pq_nbits = options.pq_nbits;
-      METABLINK_RETURN_IF_ERROR(epoch->clustered.Build(epoch->index, copts));
-    }
-  }
-  METABLINK_RETURN_IF_ERROR(
-      ResolveSharding(options, b.num_shards, epoch.get()));
-  const std::vector<kb::EntityId>& ids = epoch->index.ids();
   if (b.has_rerank_cache) {
     epoch->cross_cache = std::move(b.rerank_cache);
   } else {
     // Bundle shipped without the precomputed rerank artifact: rebuild it
     // from the KB in index-row order.
+    const std::vector<kb::EntityId>& ids = epoch->index.ids();
     std::vector<kb::Entity> entities;
     entities.reserve(ids.size());
     for (kb::EntityId id : ids) entities.push_back(epoch->kb->entity(id));
     epoch->cross->PrecomputeEntities(entities, &epoch->cross_cache);
   }
-  epoch->entity_pos.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
-  METABLINK_RETURN_IF_ERROR(
-      ResolveCascade(options, b.has_cascade ? &b.cascade : nullptr,
-                     epoch.get()));
+  METABLINK_RETURN_IF_ERROR(FinishEpoch(options, &b, epoch.get()));
   return epoch;
 }
 
@@ -395,7 +382,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
     const bool clustered = (options_.use_clustered || options_.use_pq) &&
                            epoch->clustered.built();
     const bool sharded = clustered && epoch->sharded.built();
-    const bool quantized = options_.use_quantized && epoch->index.quantized();
     if (clustered &&
         clustered_scratch_.size() <
             std::max<std::size_t>(1, pool_.num_threads())) {
@@ -407,7 +393,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
     }
     pool_.ParallelForChunks(
         miss_idx_.size(), 0,
-        [this, &epoch, k, clustered, sharded, quantized](
+        [this, &epoch, k, clustered, sharded](
             std::size_t chunk, std::size_t begin, std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
             const std::size_t i = miss_idx_[j];
@@ -421,18 +407,12 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                                           &sharded_scratch_[chunk],
                                           &batch_hits_[i]);
             } else if (clustered) {
-              // Probe path: the clustered index internally runs the PQ or
-              // int8 scan when those forms exist, so it subsumes the
-              // use_quantized branch.
+              // Probe path: the clustered index runs its PQ scan when it
+              // carries that form.
               epoch->clustered.TopKInto(queries_.row_data(i), k,
                                         options_.nprobe,
                                         &clustered_scratch_[chunk],
                                         &batch_hits_[i]);
-            } else if (quantized) {
-              epoch->index.TopKQuantizedInto(queries_.row_data(i), k,
-                                             options_.quantized_pool,
-                                             &topk_scratch_[chunk],
-                                             &batch_hits_[i]);
             } else {
               epoch->index.TopKInto(queries_.row_data(i), k,
                                     &topk_scratch_[chunk], &batch_hits_[i]);

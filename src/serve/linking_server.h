@@ -48,32 +48,27 @@ struct ServerOptions {
   std::uint64_t flush_deadline_us = 500;
   /// Stage-1 candidates per request (paper: 64).
   std::size_t retrieve_k = 64;
-  /// Serve retrieval from the int8 form of the index.
-  bool use_quantized = false;
-  /// Candidate-pool width for the int8 scan before exact fp32 re-scoring.
-  std::size_t quantized_pool = 4096;
   /// Serve retrieval through the clustered (IVF) form of the index: probe
   /// only the best `nprobe` k-means cells instead of scanning every row.
   /// A bundle that ships a "clustered" artifact is adopted as-is; otherwise
-  /// the clustering is trained at epoch build time. Composes with
-  /// use_quantized (the per-cell scan then runs on int8 rows).
+  /// the clustering is trained at epoch build time.
   bool use_clustered = false;
-  /// Cells probed per query when serving clustered; 0 uses the index's
-  /// own default (ceil(sqrt(num_clusters))).
+  /// Cells probed per query when serving clustered. 0 uses the index's own
+  /// default, ceil(sqrt(num_clusters)) cells. That default favours latency
+  /// over recall: on perfbench serve_large's trained encoders (32768
+  /// entities, 181 cells, 14 probed) it finds only 0.82 of the exhaustive
+  /// top 64, and 0.95 needs nprobe 64. Callers who need recall should set
+  /// nprobe.
   std::size_t nprobe = 0;
   /// Serve the clustered probe from the product-quantized residual form:
-  /// per-subspace codebooks trained on (row − centroid) residuals, pq_m
+  /// per-subspace codebooks trained on (row − centroid) residuals, a few
   /// bytes of codes per entity scanned via per-query ADC tables, exact
   /// fp32 re-score of the survivors. Implies the clustered probe path. A
   /// bundle whose clustered artifact ships PQ is adopted as-is; one
-  /// without it gets the PQ form trained at epoch build. With use_pq off,
-  /// a shipped PQ form is dropped so serving stays byte-identical to a
-  /// PQ-free build.
+  /// without it gets the PQ form trained at epoch build with the default
+  /// ClusteredIndexOptions. With use_pq off, a shipped PQ form is dropped
+  /// so serving stays byte-identical to a PQ-free build.
   bool use_pq = false;
-  /// PQ subspaces per entity (see ClusteredIndexOptions::pq_m).
-  std::size_t pq_m = 8;
-  /// Bits per PQ code; only 8 is supported.
-  std::size_t pq_nbits = 8;
   /// KB shards behind the probe path: the entity rows split into this many
   /// contiguous slices, probed in parallel per query and merged
   /// bit-identically to the single-index probe. 0 adopts the bundle
@@ -199,13 +194,13 @@ struct ServerStats {
 /// version serving.
 ///
 /// Scores are identical to MetaBlinkPipeline::Link: the tape-free kernels
-/// are bit-compatible with the tape path, and the int8 retrieval option
-/// re-scores its candidate pool in fp32.
+/// are bit-compatible with the tape path, and every approximate retrieval
+/// scan (int8 or PQ list scan) re-scores its candidate pool in fp32.
 class LinkingServer {
  public:
   /// Builds a server over raw components. `bi`, `cross`, and `kb` must
   /// outlive the server; `domain` must have entities in `kb`. The domain
-  /// index is built (and optionally quantized) here.
+  /// index (and its clustered form, when asked for) is built here.
   static util::Result<std::unique_ptr<LinkingServer>> Create(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,
@@ -312,33 +307,34 @@ class LinkingServer {
 
   LinkingServer(ServerOptions options, std::shared_ptr<ModelEpoch> epoch);
 
-  /// Encodes the domain's entities, builds (+ optionally quantizes) the
-  /// index, and precomputes the cross-encoder entity cache, over borrowed
-  /// components.
+  /// Encodes the domain's entities, builds the index, and precomputes the
+  /// cross-encoder entity cache, over borrowed components.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpoch(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,
       const ServerOptions& options);
 
-  /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
-  /// index (quantizing if the options ask for it and the bundle didn't),
-  /// adopts or recomputes the rerank cache, and derives the id -> row map.
+  /// Turns a loaded bundle into a servable epoch: adopts its prebuilt index
+  /// and adopts or recomputes the rerank cache.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpochFromBundle(
       store::ModelBundle bundle, const ServerOptions& options);
+
+  /// The steps both epoch builders share once `epoch->index` is in place:
+  /// adopts the bundle's clustered artifact or builds the clustered form
+  /// the options ask for, builds the sharded view when the effective shard
+  /// count (options.num_shards, falling back to the bundle manifest's) is
+  /// ≥ 2, derives the id -> row map, and resolves the cascade policy.
+  /// `bundle` is the epoch's own bundle, or null for raw components.
+  static util::Status FinishEpoch(const ServerOptions& options,
+                                  store::ModelBundle* bundle,
+                                  ModelEpoch* epoch);
 
   /// Installs the epoch's resolved cascade policy: `artifact` (a bundle's
   /// "cascade" section) wins over options.cascade wins over the default
   /// config, then the ServerOptions scalar overrides are applied.
   static util::Status ResolveCascade(const ServerOptions& options,
-                             const model::CascadeModel* artifact,
-                             ModelEpoch* epoch);
-
-  /// Builds the epoch's sharded view when the effective shard count
-  /// (options.num_shards, falling back to the bundle manifest's
-  /// `manifest_shards`) is ≥ 2 and the epoch serves the clustered probe.
-  static util::Status ResolveSharding(const ServerOptions& options,
-                                      std::uint32_t manifest_shards,
-                                      ModelEpoch* epoch);
+                                     const model::CascadeModel* artifact,
+                                     ModelEpoch* epoch);
 
   void SchedulerLoop();
   void ServeBatch(std::vector<Request>* batch);

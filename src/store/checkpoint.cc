@@ -5,6 +5,14 @@
 
 namespace metablink::store {
 
+namespace {
+
+/// Container magic ("MBCK" little-endian) — the first four bytes of every
+/// framed checkpoint file.
+constexpr std::uint32_t kCheckpointMagic = 0x4B43424Du;
+
+}  // namespace
+
 util::BinaryWriter* CheckpointWriter::AddSection(const std::string& name) {
   for (const auto& [existing, writer] : sections_) {
     METABLINK_CHECK(existing != name) << "duplicate section " << name;

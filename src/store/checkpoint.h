@@ -11,11 +11,6 @@
 
 namespace metablink::store {
 
-/// Container magic ("MBCK" little-endian) — the first four bytes of every
-/// framed checkpoint file. Loaders sniff it to tell framed files from the
-/// legacy headerless formats.
-inline constexpr std::uint32_t kCheckpointMagic = 0x4B43424Du;
-
 /// Current container format version. Readers accept any version up to this
 /// one; files written by a newer build are rejected with InvalidArgument
 /// rather than misparsed.

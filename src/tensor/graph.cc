@@ -164,7 +164,7 @@ Var Graph::Param(Parameter* p) {
   Var self = v;
   node(v).backward = [self, p](const Graph* g, GradWorkspace* ws) {
     const Tensor& gr = ws->grad(*g, self);
-    Tensor& dst = ws->ParamGrad(p);
+    Tensor& dst = p->grad;
     Axpy(1.0f, gr.data().data(), dst.data().data(), gr.size());
   };
   node(v).jvp = [self, p](const Graph* g, JvpWorkspace* ws) {
@@ -243,11 +243,11 @@ Var Graph::EmbeddingBagMean(Parameter* table,
         }
       }
     }
-    // Touch rows and acquire the destination serially (neither is
-    // thread-safe); the scatter itself owns one destination row per task.
-    Tensor& gt = ws->ParamGrad(table);
+    // Touch rows serially (TouchRow is not thread-safe); the scatter itself
+    // owns one destination row per task.
+    Tensor& gt = table->grad;
     for (std::size_t r = 0; r < nrows; ++r) {
-      if (live[r]) ws->TouchParamRow(table, index->rows[r]);
+      if (live[r]) table->TouchRow(index->rows[r]);
     }
     util::ParallelTraceObserver* trace = util::GetParallelTraceObserver();
     auto scatter = [&](std::size_t r) {

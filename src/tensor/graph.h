@@ -82,10 +82,11 @@ struct TapeOp {
 ///   optimizer.Step(&store);
 ///
 /// Node gradients live in a GradWorkspace, not on the tape: after the
-/// forward pass the tape is read-only, so independent backward passes with
-/// different seeds can run concurrently, each with its own workspace (see
-/// BackwardWithSeed below). Backward()/grad() use the graph's built-in
-/// direct-mode workspace and behave exactly like the classic flow.
+/// forward pass the tape is read-only, so repeated backward passes with
+/// different seeds (the meta trainer's one-hot passes) each bring a
+/// recycled workspace instead of rebuilding the tape (see BackwardWithSeed
+/// below). Backward()/grad() use the graph's built-in workspace and behave
+/// exactly like the classic flow.
 ///
 /// Heavy ops (MatMul, MatMulTransposeB, EmbeddingBagMean, RowL2Normalize)
 /// split their work across a util::ThreadPool when one is attached via
@@ -193,8 +194,7 @@ class Graph {
   void BackwardWithSeed(Var v, const std::vector<float>& seed);
 
   /// Backward into a caller-provided workspace. The tape itself is not
-  /// mutated, so concurrent calls with DISTINCT workspaces (scratch mode,
-  /// so parameter gradients do not collide either) are safe. When
+  /// mutated; parameter gradients accumulate into Parameter::grad. When
   /// ws->sparsity_skip() is set (the default), nodes whose gradient was
   /// never written are skipped — their closures would only add exact
   /// zeros.

@@ -179,89 +179,4 @@ util::Status ParameterStore::Load(util::BinaryReader* reader) {
   return util::Status::OK();
 }
 
-GradScratch::GradScratch(const ParameterStore* store) {
-  entries_.resize(store->parameters().size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    entries_[i].param = store->parameters()[i].get();
-  }
-}
-
-GradScratch::Entry& GradScratch::EntryFor(const Parameter* p) {
-  for (Entry& e : entries_) {
-    if (e.param == p) return e;
-  }
-  METABLINK_CHECK(false) << "parameter " << p->name
-                         << " is not in this scratch's store";
-  return entries_.front();  // unreachable
-}
-
-Tensor& GradScratch::GradFor(const Parameter* p) {
-  Entry& e = EntryFor(p);
-  if (e.grad.empty()) {
-    e.grad = Tensor(p->value.rows(), p->value.cols());
-    if (p->row_sparse_grad) {
-      e.touched_mask.assign(p->value.rows(), 0);
-      e.touched_rows.reserve(256);
-    }
-  }
-  e.active = true;
-  return e.grad;
-}
-
-void GradScratch::TouchRow(const Parameter* p, std::uint32_t row) {
-  if (!p->row_sparse_grad) return;
-  Entry& e = EntryFor(p);
-  if (e.grad.empty()) GradFor(p);
-  if (e.touched_mask[row] == 0) {
-    e.touched_mask[row] = 1;
-    e.touched_rows.push_back(row);
-  }
-}
-
-void GradScratch::Reset() {
-  for (Entry& e : entries_) {
-    if (!e.active) continue;
-    if (e.param->row_sparse_grad) {
-      const std::size_t cols = e.grad.cols();
-      for (std::uint32_t row : e.touched_rows) {
-        std::fill_n(e.grad.row_data(row), cols, 0.0f);
-        e.touched_mask[row] = 0;
-      }
-      e.touched_rows.clear();
-    } else {
-      e.grad.SetZero();
-    }
-    e.active = false;
-  }
-}
-
-double GradScratch::Dot(const std::vector<float>& flat) const {
-  double acc = 0.0;
-  std::size_t offset = 0;
-  for (const Entry& e : entries_) {
-    const std::size_t size = e.param->value.size();
-    if (!e.active) {
-      offset += size;
-      continue;
-    }
-    if (e.param->row_sparse_grad) {
-      const std::size_t cols = e.grad.cols();
-      for (std::uint32_t row : e.touched_rows) {
-        const float* gr = e.grad.row_data(row);
-        const float* sr = flat.data() + offset + row * cols;
-        for (std::size_t c = 0; c < cols; ++c) {
-          acc += static_cast<double>(gr[c]) * sr[c];
-        }
-      }
-    } else {
-      const auto& g = e.grad.data();
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        acc += static_cast<double>(g[i]) * flat[offset + i];
-      }
-    }
-    offset += size;
-  }
-  return acc;
-}
-
 }  // namespace metablink::tensor

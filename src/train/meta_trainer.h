@@ -26,9 +26,8 @@ namespace metablink::train {
 
 /// How Step computes the per-example alignments raw[j] = ⟨∇_φ l_j, g_meta⟩.
 enum class MetaGrad {
-  /// One reverse pass per example (one-hot seed over the shared tape).
-  /// With a pool attached the passes run concurrently on per-thread
-  /// gradient scratch; serial order is the reference implementation.
+  /// One reverse pass per example (one-hot seed over the shared tape),
+  /// serially — the reference implementation.
   kPerExample,
   /// One forward-mode sweep along direction g_meta: the tangent of the
   /// loss column is exactly (raw[0], …, raw[n-1]), so the whole batch
@@ -51,16 +50,11 @@ struct MetaTrainOptions {
   /// the weight sum, with the δ(·) guard when the sum is zero). Turning
   /// this off is an ablation knob.
   bool normalize_weights = true;
-  /// Optional pool for graph ops and concurrent per-example passes.
-  /// Not owned; nullptr (the default) keeps everything serial.
+  /// Optional pool for graph ops. Not owned; nullptr (the default) keeps
+  /// everything serial.
   util::ThreadPool* pool = nullptr;
   /// Per-example gradient strategy (see MetaGrad).
   MetaGrad meta_grad = MetaGrad::kPerExample;
-  /// Skip tape nodes whose gradient is identically zero during the
-  /// per-example passes. Exact (skipped closures only add zeros); off is a
-  /// benchmark/debugging baseline that visits every node like the
-  /// original implementation.
-  bool sparse_backward = true;
   /// When non-empty, Train() writes the full trainer state (model
   /// parameters, Adam moments, Rng stream, step counter, selection stats)
   /// to this path every `checkpoint_every` steps and auto-resumes from it
@@ -113,8 +107,7 @@ inline data::ExampleSource SourceOf(const CrossInstance& inst) {
 ///      meta-forward/meta-backward pair of eq. 8-12 at w = 0 reduces to
 ///      w̃_j = max(0, ⟨∇_φ l_j, g_meta⟩) (the Ren et al. dot-product form;
 ///      DESIGN.md §4), computed with one-hot backward passes over one tape
-///      — serially, concurrently on per-thread scratch, or with a single
-///      forward-mode sweep, per MetaTrainOptions::meta_grad;
+///      or with a single forward-mode sweep, per MetaTrainOptions::meta_grad;
 ///   3. normalize weights per eq. 13-14;
 ///   4. take the optimizer step on the weighted synthetic loss (eq. 15).
 ///
@@ -167,7 +160,7 @@ class MetaReweightTrainerT {
       }
       result_.final_seed_loss /= static_cast<double>(seed_batch.size());
     }
-    // The reverse-mode paths dot per-example gradients against a flattened
+    // The reverse-mode path dots per-example gradients against a flattened
     // snapshot of g_meta; the forward-mode path reads the direction
     // straight from Parameter::grad (left in place by the seed backward),
     // so it skips the snapshot copy entirely.
@@ -195,29 +188,10 @@ class MetaReweightTrainerT {
       // along g_meta, so one JVP sweep yields the whole batch at once.
       const tensor::Tensor tangent = graph.Jvp(losses);
       for (std::size_t j = 0; j < n; ++j) raw[j] = tangent.at(j, 0);
-    } else if (options_.pool != nullptr && n >= 2) {
-      // Concurrent one-hot backward passes over the shared (read-only)
-      // tape; each chunk routes parameter gradients into its own scratch.
-      options_.pool->ParallelForChunks(
-          n, options_.pool->num_threads(),
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            tensor::GradScratch scratch(params_);
-            tensor::GradWorkspace ws(&scratch);
-            ws.set_sparsity_skip(options_.sparse_backward);
-            std::vector<float> one_hot(n, 0.0f);
-            for (std::size_t j = begin; j < end; ++j) {
-              ws.Reset();
-              one_hot[j] = 1.0f;
-              graph.BackwardWithSeed(losses, one_hot, &ws);
-              one_hot[j] = 0.0f;
-              raw[j] = static_cast<float>(scratch.Dot(g_meta));
-            }
-          });
     } else {
-      // Serial reference path: one-hot backward per example into
-      // Parameter::grad, exactly the classic flow.
+      // One-hot backward per example into Parameter::grad; the workspace
+      // skips nodes whose gradient stays exactly zero.
       tensor::GradWorkspace ws;
-      ws.set_sparsity_skip(options_.sparse_backward);
       std::vector<float> one_hot(n, 0.0f);
       for (std::size_t j = 0; j < n; ++j) {
         params_->ZeroGrads();

@@ -204,55 +204,6 @@ TEST(ClusteredIndexTest, DeterministicBuildIsByteIdentical) {
   EXPECT_NE(wa.buffer(), wc.buffer());
 }
 
-TEST(ClusteredIndexTest, ShardedMatchesSerialBitForBit) {
-  const std::size_t n = 3000, d = 24;
-  DenseIndex base;
-  ASSERT_TRUE(base.Build(MixtureEmbeddings(n, d, 12, 0.2f, 31), Iota(n)).ok());
-  ClusteredIndex clustered;
-  ASSERT_TRUE(clustered.Build(base, {}).ok());
-
-  util::ThreadPool pool(4);
-  util::Rng rng(32);
-  ClusteredScratch serial_scratch;
-  ShardedScratch sharded_scratch;
-  std::vector<ScoredEntity> serial_hits, sharded_hits;
-  for (const std::size_t nprobe :
-       {std::size_t{1}, std::size_t{3}, clustered.default_nprobe(),
-        clustered.num_clusters()}) {
-    for (int trial = 0; trial < 10; ++trial) {
-      std::vector<float> q(d);
-      for (float& v : q) v = rng.NextFloat(-1, 1);
-      clustered.TopKInto(q.data(), 20, nprobe, &serial_scratch, &serial_hits);
-      clustered.TopKSharded(q.data(), 20, nprobe, &pool, &sharded_scratch,
-                            &sharded_hits);
-      ExpectSameHits(serial_hits, sharded_hits);
-    }
-  }
-}
-
-TEST(ClusteredIndexTest, ShardedMatchesSerialOnQuantizedBase) {
-  const std::size_t n = 2000, d = 16;
-  DenseIndex base;
-  ASSERT_TRUE(base.Build(MixtureEmbeddings(n, d, 8, 0.2f, 41), Iota(n)).ok());
-  base.Quantize();
-  ClusteredIndex clustered;
-  ASSERT_TRUE(clustered.Build(base, {}).ok());
-
-  util::ThreadPool pool(3);
-  util::Rng rng(42);
-  ClusteredScratch serial_scratch;
-  ShardedScratch sharded_scratch;
-  std::vector<ScoredEntity> serial_hits, sharded_hits;
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    clustered.TopKInto(q.data(), 16, 0, &serial_scratch, &serial_hits);
-    clustered.TopKSharded(q.data(), 16, 0, &pool, &sharded_scratch,
-                          &sharded_hits);
-    ExpectSameHits(serial_hits, sharded_hits);
-  }
-}
-
 TEST(ClusteredIndexTest, EdgeCaseKZeroAndKOversized) {
   DenseIndex base;
   ASSERT_TRUE(base.Build(RandomEmbeddings(40, 8, 51), Iota(40)).ok());
@@ -351,11 +302,10 @@ TEST(ClusteredIndexTest, LoadRejectsGarbage) {
 }
 
 TEST(ClusteredIndexTest, ConcurrentQueryHammer) {
-  // 8 threads hammer the same immutable index concurrently — half through
-  // the serial probe with private scratch, half through the sharded probe
-  // over one shared pool (its dispatch uses per-call completion state).
-  // Every thread checks its results against precomputed serial answers;
-  // under TSan this doubles as the data-race check for the probe path.
+  // 8 threads hammer the same immutable index concurrently, each through
+  // the probe with private scratch. Every thread checks its results
+  // against precomputed serial answers; under TSan this doubles as the
+  // data-race check for the probe path.
   const std::size_t n = 2000, d = 16, k = 12;
   DenseIndex base;
   ASSERT_TRUE(base.Build(MixtureEmbeddings(n, d, 8, 0.2f, 81), Iota(n)).ok());
@@ -373,22 +323,15 @@ TEST(ClusteredIndexTest, ConcurrentQueryHammer) {
     }
   }
 
-  util::ThreadPool shared_pool(4);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       ClusteredScratch scratch;
-      ShardedScratch sharded;
       std::vector<ScoredEntity> hits;
       for (int round = 0; round < 25; ++round) {
         const std::size_t i = (t * 25 + round) % num_queries;
-        if (t % 2 == 0) {
-          clustered.TopKInto(queries.row_data(i), k, 0, &scratch, &hits);
-        } else {
-          clustered.TopKSharded(queries.row_data(i), k, 0, &shared_pool,
-                                &sharded, &hits);
-        }
+        clustered.TopKInto(queries.row_data(i), k, 0, &scratch, &hits);
         if (hits.size() != expected[i].size()) {
           ++mismatches;
           continue;
@@ -413,9 +356,6 @@ TEST(ClusteredIndexPqTest, BuildValidatesPqOptions) {
   ClusteredIndex clustered;
   ClusteredIndexOptions options;
   options.use_pq = true;
-  options.pq_nbits = 4;  // only 8-bit codes are supported
-  EXPECT_FALSE(clustered.Build(base, options).ok());
-  options.pq_nbits = 8;
   options.pq_m = 0;
   EXPECT_FALSE(clustered.Build(base, options).ok());
   options.pq_m = 64;  // > dim clamps to dim
@@ -503,30 +443,29 @@ TEST(ClusteredIndexPqTest, PqRecallAt64AtDefaultNprobe) {
 }
 
 TEST(ClusteredIndexPqTest, PqScanPrecedenceOverInt8) {
-  // A PQ form on a quantized base must probe through ADC, and the sharded
-  // probe must still match serially, bit for bit.
+  // A PQ form on a quantized base must probe through ADC: quantizing the
+  // base must not change a single hit of the PQ probe.
   const std::size_t n = 1500, d = 16;
-  DenseIndex base;
-  ASSERT_TRUE(
-      base.Build(MixtureEmbeddings(n, d, 8, 0.2f, 121), Iota(n)).ok());
+  const tensor::Tensor emb = MixtureEmbeddings(n, d, 8, 0.2f, 121);
+  DenseIndex base, fp32_base;
+  ASSERT_TRUE(base.Build(emb, Iota(n)).ok());
+  ASSERT_TRUE(fp32_base.Build(emb, Iota(n)).ok());
   base.Quantize();
   ClusteredIndexOptions options;
   options.use_pq = true;
-  ClusteredIndex clustered;
+  ClusteredIndex clustered, fp32_clustered;
   ASSERT_TRUE(clustered.Build(base, options).ok());
+  ASSERT_TRUE(fp32_clustered.Build(fp32_base, options).ok());
 
-  util::ThreadPool pool(4);
   util::Rng rng(122);
-  ClusteredScratch serial_scratch;
-  ShardedScratch sharded_scratch;
-  std::vector<ScoredEntity> serial_hits, sharded_hits;
+  ClusteredScratch scratch;
+  std::vector<ScoredEntity> hits, fp32_hits;
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<float> q(d);
     for (float& v : q) v = rng.NextFloat(-1, 1);
-    clustered.TopKInto(q.data(), 16, 0, &serial_scratch, &serial_hits);
-    clustered.TopKSharded(q.data(), 16, 0, &pool, &sharded_scratch,
-                          &sharded_hits);
-    ExpectSameHits(serial_hits, sharded_hits);
+    clustered.TopKInto(q.data(), 16, 0, &scratch, &hits);
+    fp32_clustered.TopKInto(q.data(), 16, 0, &scratch, &fp32_hits);
+    ExpectSameHits(fp32_hits, hits);
   }
 }
 

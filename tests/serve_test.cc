@@ -212,32 +212,6 @@ TEST_F(ServeTest, ServerMatchesPipelineLink) {
   }
 }
 
-TEST_F(ServeTest, QuantizedServerMatchesFp32Server) {
-  ServerOptions fp32;
-  fp32.retrieve_k = 16;
-  ServerOptions int8 = fp32;
-  int8.use_quantized = true;
-  int8.quantized_pool = 4096;  // clamps to the index size: exact pool
-  auto a = LinkingServer::Create(pipeline_->bi_encoder(),
-                                 pipeline_->cross_encoder(), &corpus_->kb,
-                                 "target", fp32);
-  auto b = LinkingServer::Create(pipeline_->bi_encoder(),
-                                 pipeline_->cross_encoder(), &corpus_->kb,
-                                 "target", int8);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (std::size_t e = 0; e < 5; ++e) {
-    const auto& ex = split_.test[e];
-    auto ra = (*a)->Link(ex.mention, ex.left_context, ex.right_context, 5);
-    auto rb = (*b)->Link(ex.mention, ex.left_context, ex.right_context, 5);
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    ASSERT_EQ(ra->size(), rb->size());
-    for (std::size_t i = 0; i < ra->size(); ++i) {
-      EXPECT_EQ((*ra)[i].entity_id, (*rb)[i].entity_id);
-      EXPECT_EQ((*ra)[i].score, (*rb)[i].score);
-    }
-  }
-}
-
 TEST_F(ServeTest, ClusteredServerProbeAllMatchesFp32Server) {
   // With nprobe clamped up to num_clusters the probe path visits every row,
   // so a clustered server's responses are bit-identical to the exhaustive

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
@@ -10,7 +11,9 @@
 #include "data/generator.h"
 #include "kb/knowledge_base.h"
 #include "model/bi_encoder.h"
+#include "model/cascade.h"
 #include "model/cross_encoder.h"
+#include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
 #include "store/checkpoint.h"
 #include "store/model_bundle.h"
@@ -110,7 +113,7 @@ TEST(CheckpointContainerTest, HugeSectionCountIsOutOfRange) {
   // A section count that cannot fit in the bytes left must be rejected
   // before it sizes any allocation.
   util::BinaryWriter w;
-  w.WriteU32(kCheckpointMagic);
+  w.WriteU32(0x4B43424Du);  // "MBCK"
   w.WriteU32(kCheckpointVersion);
   w.WriteU32(0xFFFFFFFFu);
   w.WriteU64(0);
@@ -428,91 +431,90 @@ TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {
   std::remove(path.c_str());
 }
 
-// ---- Legacy headerless formats stay readable -------------------------------
+// ---- Headerless artifact files are rejected --------------------------------
 
-TEST_F(StoreTest, LegacyEncoderByteLayoutStillLoads) {
-  // Pin the pre-store-subsystem format: a bare u32 tag followed by the raw
-  // parameter stream, no container framing. Files written by old builds
-  // must keep loading.
-  const std::string bi_path = TempPath("legacy_bi.bin");
+TEST_F(StoreTest, HeaderlessArtifactFilesAreRejected) {
+  // Every artifact loader reads only the framed, CRC-checked container. A
+  // raw payload stream without it — including the pre-container "BI"/"CR"
+  // tagged encoder layout — is kInvalidArgument, never a load.
+  const std::string path = TempPath("headerless.bin");
+  auto expect_rejected = [&](const util::BinaryWriter& w,
+                             const std::function<util::Status()>& load,
+                             const char* what) {
+    ASSERT_TRUE(w.WriteToFile(path).ok()) << what;
+    const util::Status status = load();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+  };
+
   auto bi = MakeBi(/*seed=*/31);
   {
     util::BinaryWriter w;
     w.WriteU32(0x4249u);  // "BI"
     bi->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(bi_path).ok());
+    expect_rejected(w, [&] { return bi->LoadFromFile(path); }, "bi-encoder");
   }
-  auto bi2 = MakeBi(/*seed=*/32);
-  ASSERT_TRUE(bi2->LoadFromFile(bi_path).ok());
-  EXPECT_EQ(bi->params()->ValuesCrc32(), bi2->params()->ValuesCrc32());
-  std::remove(bi_path.c_str());
-
-  const std::string cross_path = TempPath("legacy_cross.bin");
   auto cross = MakeCross(/*seed=*/33);
   {
     util::BinaryWriter w;
     w.WriteU32(0x4352u);  // "CR"
     cross->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(cross_path).ok());
+    expect_rejected(w, [&] { return cross->LoadFromFile(path); },
+                    "cross-encoder");
   }
-  auto cross2 = MakeCross(/*seed=*/34);
-  ASSERT_TRUE(cross2->LoadFromFile(cross_path).ok());
-  EXPECT_EQ(cross->params()->ValuesCrc32(), cross2->params()->ValuesCrc32());
-  std::remove(cross_path.c_str());
-
-  // A wrong tag is a clean error, not a misparse.
-  const std::string wrong = TempPath("legacy_wrong.bin");
+  {
+    model::CascadeModel cascade;
+    util::BinaryWriter w;
+    cascade.Save(&w);
+    expect_rejected(w, [&] { return cascade.LoadFromFile(path); }, "cascade");
+  }
   {
     util::BinaryWriter w;
-    w.WriteU32(0x4352u);  // cross tag fed to the bi-encoder loader
-    bi->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(wrong).ok());
+    corpus_->kb.Save(&w);
+    expect_rejected(
+        w, [&] { return kb::KnowledgeBase::LoadFromFile(path).status(); },
+        "kb");
   }
-  EXPECT_FALSE(bi2->LoadFromFile(wrong).ok());
-  std::remove(wrong.c_str());
-}
-
-TEST_F(StoreTest, LegacyIndexAndKbByteLayoutsStillLoad) {
   const auto& ids = corpus_->kb.EntitiesInDomain("target");
-  auto bi = MakeBi();
   retrieval::DenseIndex index;
-  ASSERT_TRUE(
-      index.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
-
-  const std::string index_path = TempPath("legacy_index.bin");
+  ASSERT_TRUE(index.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
   {
     util::BinaryWriter w;
-    index.Save(&w);  // raw legacy stream, no container
-    ASSERT_TRUE(w.WriteToFile(index_path).ok());
+    index.Save(&w);
+    retrieval::DenseIndex loaded;
+    expect_rejected(w, [&] { return loaded.LoadFromFile(path); },
+                    "dense index");
   }
+  {
+    retrieval::ClusteredIndex clustered;
+    ASSERT_TRUE(clustered.Build(index, {}).ok());
+    util::BinaryWriter w;
+    clustered.Save(&w);
+    retrieval::ClusteredIndex loaded;
+    expect_rejected(w, [&] { return loaded.LoadFromFile(path, &index); },
+                    "clustered index");
+  }
+  std::remove(path.c_str());
+
+  // The framed forms round-trip through the same entry points.
+  const std::string framed_index = TempPath("framed_index.ckpt");
+  ASSERT_TRUE(index.SaveToFile(framed_index).ok());
   retrieval::DenseIndex loaded_index;
-  ASSERT_TRUE(loaded_index.LoadFromFile(index_path).ok());
+  ASSERT_TRUE(loaded_index.LoadFromFile(framed_index).ok());
   ASSERT_EQ(loaded_index.size(), index.size());
   EXPECT_EQ(loaded_index.ids(), index.ids());
   for (std::size_t j = 0; j < index.dim(); ++j) {
     EXPECT_EQ(loaded_index.EmbeddingAt(0)[j], index.EmbeddingAt(0)[j]);
   }
-  std::remove(index_path.c_str());
+  std::remove(framed_index.c_str());
 
-  const std::string kb_path = TempPath("legacy_kb.bin");
-  {
-    util::BinaryWriter w;
-    corpus_->kb.Save(&w);  // raw legacy stream
-    ASSERT_TRUE(w.WriteToFile(kb_path).ok());
-  }
-  auto loaded_kb = kb::KnowledgeBase::LoadFromFile(kb_path);
+  const std::string framed_kb = TempPath("framed_kb.ckpt");
+  ASSERT_TRUE(corpus_->kb.SaveToFile(framed_kb).ok());
+  auto loaded_kb = kb::KnowledgeBase::LoadFromFile(framed_kb);
   ASSERT_TRUE(loaded_kb.ok());
   EXPECT_EQ(loaded_kb->num_entities(), corpus_->kb.num_entities());
   EXPECT_EQ(loaded_kb->EntitiesInDomain("target").size(), ids.size());
-  std::remove(kb_path.c_str());
-
-  // And the framed forms round-trip through the same entry points.
-  const std::string framed = TempPath("framed_index.ckpt");
-  ASSERT_TRUE(index.SaveToFile(framed).ok());
-  retrieval::DenseIndex framed_index;
-  ASSERT_TRUE(framed_index.LoadFromFile(framed).ok());
-  EXPECT_EQ(framed_index.ids(), index.ids());
-  std::remove(framed.c_str());
+  std::remove(framed_kb.c_str());
 }
 
 // ---- Artifact bundles ------------------------------------------------------

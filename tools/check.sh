@@ -20,9 +20,9 @@
 #                   hot-swap hammer (exit 1 if any Link fails or a swap
 #                   doesn't publish)
 #   8. retrieval  — bench_retrieval --smoke from stage 1's tree: clustered
-#                   IVF gates (probe-all == exhaustive bit-for-bit, sharded
-#                   == serial, deterministic rebuild, R@64 >= 0.98 at the
-#                   default nprobe)
+#                   IVF gates (probe-all == exhaustive bit-for-bit,
+#                   deterministic rebuild, R@64 >= 0.98 at the default
+#                   nprobe)
 #   9. cascade    — bench_serving --cascade-smoke from stage 1's tree: the
 #                   adaptive rerank cascade contracts (cascade-off and
 #                   forced-full-head byte identity, tier counters summing
@@ -131,9 +131,9 @@ STATUS[checkpoint]="PASS"
 
 echo
 echo "== stage: retrieval =="
-# Reduced clustered-index run: probe-all vs exhaustive bit-identity, sharded
-# vs serial bit-identity, deterministic-rebuild, and R@64 recall gates
-# (exit 1 on any violation), without the full-scale benchmark timings.
+# Reduced clustered-index run: probe-all vs exhaustive bit-identity,
+# deterministic-rebuild, and R@64 recall gates (exit 1 on any violation),
+# without the full-scale benchmark timings.
 ./build-check-default/bench/bench_retrieval --smoke /tmp/metablink-smoke-retrieval.json \
   || fail retrieval
 STATUS[retrieval]="PASS"
