@@ -433,57 +433,66 @@ TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {
 
 // ---- Headerless artifact files are rejected --------------------------------
 
-TEST_F(StoreTest, HeaderlessArtifactFilesAreRejected) {
-  // Every artifact loader reads only the framed, CRC-checked container. A
-  // raw payload stream without it — including the pre-container "BI"/"CR"
-  // tagged encoder layout — is kInvalidArgument, never a load.
-  const std::string path = TempPath("headerless.bin");
-  auto expect_rejected = [&](const util::BinaryWriter& w,
-                             const std::function<util::Status()>& load,
-                             const char* what) {
-    ASSERT_TRUE(w.WriteToFile(path).ok()) << what;
-    const util::Status status = load();
-    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
-        << what << ": " << status.ToString();
-  };
+// Every artifact loader reads only the framed, CRC-checked container. A raw
+// payload stream without it is kInvalidArgument, never a load.
+void ExpectHeaderlessRejected(const std::string& path,
+                              const util::BinaryWriter& w,
+                              const std::function<util::Status()>& load,
+                              const char* what) {
+  ASSERT_TRUE(w.WriteToFile(path).ok()) << what;
+  const util::Status status = load();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << what << ": " << status.ToString();
+}
 
+TEST_F(StoreTest, HeaderlessEncoderFilesAreRejected) {
+  // Includes the pre-container "BI"/"CR" tagged encoder layout.
+  const std::string path = TempPath("headerless_encoder.bin");
   auto bi = MakeBi(/*seed=*/31);
   {
     util::BinaryWriter w;
     w.WriteU32(0x4249u);  // "BI"
     bi->params()->Save(&w);
-    expect_rejected(w, [&] { return bi->LoadFromFile(path); }, "bi-encoder");
+    ExpectHeaderlessRejected(path, w, [&] { return bi->LoadFromFile(path); },
+                             "bi-encoder");
   }
   auto cross = MakeCross(/*seed=*/33);
   {
     util::BinaryWriter w;
     w.WriteU32(0x4352u);  // "CR"
     cross->params()->Save(&w);
-    expect_rejected(w, [&] { return cross->LoadFromFile(path); },
-                    "cross-encoder");
+    ExpectHeaderlessRejected(
+        path, w, [&] { return cross->LoadFromFile(path); }, "cross-encoder");
   }
   {
     model::CascadeModel cascade;
     util::BinaryWriter w;
     cascade.Save(&w);
-    expect_rejected(w, [&] { return cascade.LoadFromFile(path); }, "cascade");
+    ExpectHeaderlessRejected(
+        path, w, [&] { return cascade.LoadFromFile(path); }, "cascade");
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, HeaderlessIndexAndKbFilesAreRejected) {
+  const std::string path = TempPath("headerless_index.bin");
   {
     util::BinaryWriter w;
     corpus_->kb.Save(&w);
-    expect_rejected(
-        w, [&] { return kb::KnowledgeBase::LoadFromFile(path).status(); },
-        "kb");
+    ExpectHeaderlessRejected(
+        path, w,
+        [&] { return kb::KnowledgeBase::LoadFromFile(path).status(); }, "kb");
   }
   const auto& ids = corpus_->kb.EntitiesInDomain("target");
+  auto bi = MakeBi();
   retrieval::DenseIndex index;
   ASSERT_TRUE(index.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
   {
     util::BinaryWriter w;
     index.Save(&w);
     retrieval::DenseIndex loaded;
-    expect_rejected(w, [&] { return loaded.LoadFromFile(path); },
-                    "dense index");
+    ExpectHeaderlessRejected(
+        path, w, [&] { return loaded.LoadFromFile(path); }, "dense index");
   }
   {
     retrieval::ClusteredIndex clustered;
@@ -491,8 +500,9 @@ TEST_F(StoreTest, HeaderlessArtifactFilesAreRejected) {
     util::BinaryWriter w;
     clustered.Save(&w);
     retrieval::ClusteredIndex loaded;
-    expect_rejected(w, [&] { return loaded.LoadFromFile(path, &index); },
-                    "clustered index");
+    ExpectHeaderlessRejected(
+        path, w, [&] { return loaded.LoadFromFile(path, &index); },
+        "clustered index");
   }
   std::remove(path.c_str());
 
