@@ -1,5 +1,8 @@
 #include "core/few_shot_linker.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace metablink::core {
 
 FewShotLinker::FewShotLinker(PipelineConfig config)
@@ -11,6 +14,11 @@ util::Status FewShotLinker::Fit(
     const std::string& target_domain,
     const std::vector<data::LinkingExample>& seed_examples,
     std::size_t max_heuristic_seeds) {
+  // Unfit first: training below mutates the encoders the old structure was
+  // built from, so a fit that fails midway must not leave it serving.
+  domain_.reset();
+  corpus_ = nullptr;
+  target_domain_.clear();
   if (corpus.kb.EntitiesInDomain(target_domain).empty()) {
     return util::Status::NotFound("target domain has no entities: " +
                                   target_domain);
@@ -35,29 +43,58 @@ util::Status FewShotLinker::Fit(
 
   METABLINK_RETURN_IF_ERROR(
       pipeline_.TrainMeta(corpus.kb, *synthetic, seeds));
+  auto domain = std::make_unique<DomainIndex>();
+  METABLINK_RETURN_IF_ERROR(BuildDomainIndex(
+      *pipeline_.bi_encoder(), *pipeline_.cross_encoder(), corpus.kb,
+      target_domain, &domain->index, &domain->cross_cache));
+  MapEntityRows(domain->index, &domain->entity_pos);
   corpus_ = &corpus;
   target_domain_ = target_domain;
-  fitted_ = true;
+  domain_ = std::move(domain);
   return util::Status::OK();
 }
 
 util::Result<std::vector<LinkPrediction>> FewShotLinker::Link(
     const std::string& mention, const std::string& left_context,
     const std::string& right_context, std::size_t top_k) const {
-  if (!fitted_) {
+  if (domain_ == nullptr) {
     return util::Status::FailedPrecondition("call Fit before Link");
   }
-  data::LinkingExample ex;
+  // The steps of MetaBlinkPipeline::Link, over the prebuilt entity side:
+  // every kernel below is bit-identical to its tape-path counterpart there.
+  std::vector<data::LinkingExample> one(1);
+  data::LinkingExample& ex = one[0];
   ex.mention = mention;
   ex.left_context = left_context;
   ex.right_context = right_context;
   ex.domain = target_domain_;
-  auto ranked =
-      pipeline_.Link(corpus_->kb, target_domain_, ex, top_k);
-  if (!ranked.ok()) return ranked.status();
+  model::EncodeScratch encode_scratch;
+  tensor::Tensor query;
+  pipeline_.bi_encoder()->EncodeMentionsInference(one, &encode_scratch,
+                                                  &query);
+  std::vector<retrieval::ScoredEntity> cands =
+      domain_->index.TopK(query.row_data(0), pipeline_.config().eval.k);
+  if (cands.empty()) {
+    return util::Status::NotFound("no candidates retrieved");
+  }
+  std::vector<std::size_t> rows;
+  rows.reserve(cands.size());
+  for (const auto& c : cands) rows.push_back(domain_->entity_pos.at(c.id));
+  model::CrossScoreScratch cross_scratch;
+  std::vector<float> scores;
+  pipeline_.cross_encoder()->ScoreCachedInference(
+      ex, rows, domain_->cross_cache, &cross_scratch, &scores);
+  for (std::size_t i = 0; i < cands.size(); ++i) cands[i].score = scores[i];
+  std::sort(cands.begin(), cands.end(),
+            [](const retrieval::ScoredEntity& a,
+               const retrieval::ScoredEntity& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.id < b.id;
+            });
+  if (cands.size() > top_k) cands.resize(top_k);
   std::vector<LinkPrediction> out;
-  out.reserve(ranked->size());
-  for (const auto& c : *ranked) {
+  out.reserve(cands.size());
+  for (const auto& c : cands) {
     LinkPrediction p;
     p.entity_id = c.id;
     p.title = corpus_->kb.entity(c.id).title;
@@ -69,7 +106,7 @@ util::Result<std::vector<LinkPrediction>> FewShotLinker::Link(
 
 util::Result<eval::EvalResult> FewShotLinker::Evaluate(
     const std::vector<data::LinkingExample>& examples) const {
-  if (!fitted_) {
+  if (domain_ == nullptr) {
     return util::Status::FailedPrecondition("call Fit before Evaluate");
   }
   return pipeline_.Evaluate(corpus_->kb, target_domain_, examples);

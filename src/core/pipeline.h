@@ -118,8 +118,10 @@ class MetaBlinkPipeline {
 
   /// Links one mention end-to-end: stage-1 retrieval over the domain, then
   /// cross-encoder reranking. Returns candidates best-first. Const and
-  /// thread-safe (see Evaluate). Note this rebuilds the domain index per
-  /// call; serve::LinkingServer amortizes that for repeated queries.
+  /// thread-safe (see Evaluate). This is the per-call reference path: it
+  /// encodes every entity of the domain through the tape and builds its
+  /// index on each call. FewShotLinker::Link (and serve::LinkingServer)
+  /// amortize that into one build per fit and return the same answers.
   util::Result<std::vector<retrieval::ScoredEntity>> Link(
       const kb::KnowledgeBase& kb, const std::string& domain,
       const data::LinkingExample& mention, std::size_t top_k) const;

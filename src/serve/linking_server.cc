@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/domain_index.h"
 #include "util/logging.h"
 
 namespace metablink::serve {
@@ -89,41 +90,13 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
                           const kb::KnowledgeBase* kb,
                           const std::string& domain,
                           const ServerOptions& options) {
-  const std::vector<kb::EntityId>& ids = kb->EntitiesInDomain(domain);
-  if (ids.empty()) {
-    return util::Status::NotFound("domain has no entities: " + domain);
-  }
   auto epoch = std::make_shared<ModelEpoch>();
   epoch->domain = domain;
   epoch->bi = bi;
   epoch->cross = cross;
   epoch->kb = kb;
-  const std::size_t d = bi->dim();
-  tensor::Tensor all(ids.size(), d);
-  // Chunked so the encode scratch stays small. Cold path: local scratch.
-  const std::size_t chunk = 256;
-  model::EncodeScratch encode_scratch;
-  tensor::Tensor encoded;
-  std::vector<kb::Entity> part;
-  std::vector<kb::Entity> entities;
-  entities.reserve(ids.size());
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-    const std::size_t end = std::min(ids.size(), begin + chunk);
-    part.clear();
-    part.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      part.push_back(kb->entity(ids[i]));
-    }
-    bi->EncodeEntitiesInference(part, &encode_scratch, &encoded);
-    for (std::size_t r = 0; r < encoded.rows(); ++r) {
-      std::copy(encoded.row_data(r), encoded.row_data(r) + d,
-                all.row_data(begin + r));
-      entities.push_back(part[r]);
-    }
-  }
-  METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
-  // Entity-side rerank work, hoisted out of the serving loop.
-  cross->PrecomputeEntities(entities, &epoch->cross_cache);
+  METABLINK_RETURN_IF_ERROR(core::BuildDomainIndex(
+      *bi, *cross, *kb, domain, &epoch->index, &epoch->cross_cache));
   METABLINK_RETURN_IF_ERROR(FinishEpoch(options, nullptr, epoch.get()));
   return epoch;
 }
@@ -157,9 +130,7 @@ util::Status LinkingServer::FinishEpoch(const ServerOptions& options,
   if (epoch->clustered.built() && shards >= 2) {
     METABLINK_RETURN_IF_ERROR(epoch->sharded.Build(&epoch->clustered, shards));
   }
-  const std::vector<kb::EntityId>& ids = epoch->index.ids();
-  epoch->entity_pos.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
+  core::MapEntityRows(epoch->index, &epoch->entity_pos);
   return ResolveCascade(
       options,
       bundle != nullptr && bundle->has_cascade ? &bundle->cascade : nullptr,

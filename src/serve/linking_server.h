@@ -308,7 +308,8 @@ class LinkingServer {
   LinkingServer(ServerOptions options, std::shared_ptr<ModelEpoch> epoch);
 
   /// Encodes the domain's entities, builds the index, and precomputes the
-  /// cross-encoder entity cache, over borrowed components.
+  /// cross-encoder entity cache (core::BuildDomainIndex, the builder
+  /// FewShotLinker::Fit shares), over borrowed components.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpoch(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/few_shot_linker.h"
 #include "core/pipeline.h"
@@ -166,6 +168,107 @@ TEST_F(PipelineTest, FewShotLinkerEndToEnd) {
   auto result = linker.Evaluate(split_.test);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->recall_at_k, 0.2);
+}
+
+// FewShotLinker::Link answers from the structure Fit built;
+// pipeline()->Link re-encodes the domain per call under the same weights.
+// Both must agree bit for bit: same ids, same order, same float scores.
+void ExpectLinkMatchesPipeline(const FewShotLinker& linker,
+                               const data::LinkingExample& probe,
+                               std::size_t top_k) {
+  SCOPED_TRACE("mention '" + probe.mention + "' top_k " +
+               std::to_string(top_k));
+  data::LinkingExample ex;
+  ex.mention = probe.mention;
+  ex.left_context = probe.left_context;
+  ex.right_context = probe.right_context;
+  ex.domain = linker.target_domain();
+  auto got = linker.Link(ex.mention, ex.left_context, ex.right_context, top_k);
+  auto want = linker.pipeline()->Link(linker.corpus()->kb,
+                                      linker.target_domain(), ex, top_k);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ASSERT_EQ(got->size(), want->size());
+  for (std::size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*got)[i].entity_id, (*want)[i].id);
+    EXPECT_EQ((*got)[i].score, (*want)[i].score);
+    EXPECT_EQ((*got)[i].title,
+              linker.corpus()->kb.entity((*want)[i].id).title);
+  }
+}
+
+TEST_F(PipelineTest, FewShotLinkerLinkMatchesPipelineLink) {
+  const PipelineConfig config = TestConfig();
+  FewShotLinker linker(config);
+  ASSERT_TRUE(linker
+                  .Fit(*corpus_, {"src_a", "src_b"}, "target", split_.train)
+                  .ok());
+  for (const auto& ex : split_.test) {
+    for (std::size_t top_k : {std::size_t{1}, std::size_t{5}, config.eval.k,
+                              std::size_t{100000}}) {
+      ExpectLinkMatchesPipeline(linker, ex, top_k);
+    }
+  }
+  // No features on one side is still a servable request.
+  data::LinkingExample no_mention = split_.test.front();
+  no_mention.mention.clear();
+  ExpectLinkMatchesPipeline(linker, no_mention, 5);
+  data::LinkingExample no_context = split_.test.front();
+  no_context.left_context.clear();
+  no_context.right_context.clear();
+  ExpectLinkMatchesPipeline(linker, no_context, 5);
+}
+
+TEST_F(PipelineTest, FewShotLinkerRefitRebuildsAndFailedRefitUnfits) {
+  const PipelineConfig config = TestConfig();
+  FewShotLinker linker(config);
+  ASSERT_TRUE(linker
+                  .Fit(*corpus_, {"src_a", "src_b"}, "target", split_.train)
+                  .ok());
+  std::vector<std::vector<LinkPrediction>> before;
+  for (const auto& ex : split_.test) {
+    auto got = linker.Link(ex.mention, ex.left_context, ex.right_context,
+                           config.eval.k);
+    ASSERT_TRUE(got.ok());
+    before.push_back(*std::move(got));
+  }
+
+  // A second Fit with a different seed set retrains the encoders; Link must
+  // answer from a structure rebuilt under the new weights.
+  const std::vector<data::LinkingExample> other_seeds(
+      split_.train.begin(), split_.train.begin() + split_.train.size() / 2);
+  ASSERT_TRUE(
+      linker.Fit(*corpus_, {"src_a", "src_b"}, "target", other_seeds).ok());
+  ASSERT_TRUE(linker.fitted());
+  bool changed = false;
+  for (std::size_t e = 0; e < split_.test.size(); ++e) {
+    const auto& ex = split_.test[e];
+    ExpectLinkMatchesPipeline(linker, ex, config.eval.k);
+    auto got = linker.Link(ex.mention, ex.left_context, ex.right_context,
+                           config.eval.k);
+    ASSERT_TRUE(got.ok());
+    for (std::size_t i = 0; i < got->size() && !changed; ++i) {
+      changed = (*got)[i].entity_id != before[e][i].entity_id ||
+                (*got)[i].score != before[e][i].score;
+    }
+  }
+  // Otherwise a stale structure would have passed the comparison above.
+  EXPECT_TRUE(changed);
+
+  // A re-Fit that fails leaves the linker unfitted, not serving the old
+  // domain structure.
+  const util::Status failed =
+      linker.Fit(*corpus_, {"src_a", "src_b"}, "nonexistent", split_.train);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(linker.fitted());
+  const auto& probe = split_.test.front();
+  auto link = linker.Link(probe.mention, probe.left_context,
+                          probe.right_context);
+  ASSERT_FALSE(link.ok());
+  EXPECT_EQ(link.status().code(), util::StatusCode::kFailedPrecondition);
+  auto eval = linker.Evaluate(split_.test);
+  ASSERT_FALSE(eval.ok());
+  EXPECT_EQ(eval.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PipelineTest, FewShotLinkerZeroShotHeuristicSeeds) {

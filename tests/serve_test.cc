@@ -720,7 +720,9 @@ TEST_F(ServeTest, FittedLinkerEdgeCasesAndConcurrentLink) {
   EXPECT_EQ(failures.load(), 0u);
 
   // FromLinker serves the same answers the linker computes directly (same
-  // stage-1 k so both rerank the same candidate set).
+  // stage-1 k so both rerank the same candidate set): both run the same
+  // tape-free kernels over core::BuildDomainIndex output, so scores match
+  // exactly.
   ServerOptions opts;
   opts.retrieve_k = TestConfig().eval.k;
   auto server = LinkingServer::FromLinker(linker, opts);
@@ -733,7 +735,7 @@ TEST_F(ServeTest, FittedLinkerEdgeCasesAndConcurrentLink) {
   ASSERT_EQ(direct->size(), served->size());
   for (std::size_t i = 0; i < direct->size(); ++i) {
     EXPECT_EQ((*direct)[i].entity_id, (*served)[i].entity_id);
-    EXPECT_NEAR((*direct)[i].score, (*served)[i].score, 1e-6);
+    EXPECT_EQ((*direct)[i].score, (*served)[i].score);
   }
 }
 
